@@ -45,7 +45,6 @@ import (
 
 	"github.com/approx-analytics/grass/internal/exp"
 	"github.com/approx-analytics/grass/internal/fault"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/trace"
 	"github.com/approx-analytics/grass/internal/traceio"
 )
@@ -73,7 +72,6 @@ func run() int {
 		traceFormat = flag.String("trace-format", "swim", "imported trace format: swim | google")
 		shards      = flag.Int("shards", 1, "replay worker goroutines executing partitions; with -partitions set explicitly this never changes results, but when -partitions is 0 it also sets the partition count, which IS model-visible")
 		parts       = flag.Int("partitions", 0, "replay partition count — the sharded model: cluster and trace split with a deterministic merge; results are comparable only at equal partition counts (0 = same as -shards; 1 = the plain engine)")
-		queue       = flag.String("queue", "calendar", "event-queue implementation: calendar | heap; byte-identical results, calendar is faster")
 		learner     = flag.String("learner", "ring", "GRASS learner: ring (per-partition ring buffer) | sketch (mergeable sketch store — partition-invariant learning at -partitions > 1)")
 		learnEpochs = flag.Int("learn-epochs", 1, "replay the trace this many times, carrying merged learned state into each next epoch (needs -learner sketch when > 1); stats report the final epoch")
 		scenario    = flag.String("scenario", "", "replay fault scenario: "+strings.Join(fault.Scenarios(), " | ")+" (empty or none = benign cluster)")
@@ -143,6 +141,16 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "grass-bench: -scenario/-fault-seed apply to streaming replays only (set -jobs or -trace-file)")
 		return 1
 	}
+	rc := exp.DefaultReplayConfig(*jobs)
+	rc.Policy = *policy
+	rc.Seed = *seed
+	rc.Shards = *shards
+	rc.Partitions = *parts
+	rc.Learner = *learner
+	rc.LearnEpochs = *learnEpochs
+	rc.Scenario = *scenario
+	rc.FaultSeed = *faultSeed
+	var err error
 	if *traceFile != "" {
 		if *fig != "" || *full {
 			fmt.Fprintln(os.Stderr, "grass-bench: -trace-file (imported replay) cannot be combined with -fig or -full")
@@ -166,7 +174,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "grass-bench: -trace-file: %v (give a readable SWIM or Google task_events file, optionally .gz)\n", err)
 			return 1
 		}
-		return runReplay(0, *traceFile, *traceFormat, *policy, *workload, *bound, *queue, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
+		rc.TraceFile = *traceFile
+		if rc.TraceFormat, err = traceio.ParseFormat(*traceFormat); err != nil {
+			fmt.Fprintf(os.Stderr, "grass-bench: -trace-format: %v\n", err)
+			return 1
+		}
+		return runReplay(rc)
 	}
 	if *jobs > 0 {
 		if *fig != "" || *full {
@@ -177,7 +190,15 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "grass-bench: -jobs %d is fewer than -partitions %d: every partition needs at least one job\n", *jobs, *parts)
 			return 1
 		}
-		return runReplay(*jobs, "", "", *policy, *workload, *bound, *queue, *learner, *scenario, *seed, *faultSeed, *shards, *parts, *learnEpochs)
+		if rc.Workload, err = trace.ParseWorkload(*workload); err != nil {
+			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
+			return 1
+		}
+		if rc.Bound, err = trace.ParseBound(*bound); err != nil {
+			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
+			return 1
+		}
+		return runReplay(rc)
 	}
 
 	cfg := exp.Quick()
@@ -207,39 +228,9 @@ func run() int {
 	return 0
 }
 
-// runReplay executes one streaming replay — synthetic (jobs > 0) or an
-// imported real trace (traceFile != "") — and renders its aggregates.
-func runReplay(jobs int, traceFile, traceFormat, policy, workload, bound, queue, learner, scenario string, seed, faultSeed int64, shards, partitions, learnEpochs int) int {
-	rc := exp.DefaultReplayConfig(jobs)
-	rc.Policy = policy
-	rc.Seed = seed
-	rc.Shards = shards
-	rc.Partitions = partitions
-	rc.Learner = learner
-	rc.LearnEpochs = learnEpochs
-	rc.Scenario = scenario
-	rc.FaultSeed = faultSeed
-	var err error
-	if traceFile != "" {
-		rc.TraceFile = traceFile
-		if rc.TraceFormat, err = traceio.ParseFormat(traceFormat); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: -trace-format: %v\n", err)
-			return 1
-		}
-	} else {
-		if rc.Workload, err = trace.ParseWorkload(workload); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-			return 1
-		}
-		if rc.Bound, err = trace.ParseBound(bound); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-			return 1
-		}
-	}
-	if rc.Queue, err = simevent.ParseQueueKind(queue); err != nil {
-		fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-		return 1
-	}
+// runReplay executes one streaming replay — synthetic (rc.Jobs > 0) or an
+// imported real trace (rc.TraceFile != "") — and renders its aggregates.
+func runReplay(rc exp.ReplayConfig) int {
 	rs, err := exp.Replay(rc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "grass-bench: replay: %v\n", err)

@@ -21,7 +21,6 @@ import (
 	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/sched"
-	"github.com/approx-analytics/grass/internal/simevent"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
 	"github.com/approx-analytics/grass/internal/trace"
@@ -50,10 +49,6 @@ type ReplayConfig struct {
 	Seed int64
 	// MemSample sets the heap sampling interval; 0 means 20ms.
 	MemSample time.Duration
-	// Queue selects the event-queue implementation (sched.Config.EventQueue);
-	// the zero value is the calendar queue. Either kind replays the same
-	// trace byte-identically — the knob only trades throughput.
-	Queue simevent.QueueKind
 
 	// Partitions is the sharded-execution model: the cluster and trace are
 	// split into this many self-contained partitions with a deterministic
@@ -364,7 +359,6 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	scfg.Cluster.SlotsPerMachine = cfg.SlotsPerMachine
 	scfg.Seed = cfg.Seed
 	scfg.Oracle = oracleMode
-	scfg.EventQueue = cfg.Queue
 	scfg.Faults = fc
 	// The default event ceiling guards tests; a million-job replay
 	// legitimately fires hundreds of millions of events.

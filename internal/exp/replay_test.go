@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/approx-analytics/grass/internal/simevent"
 )
 
 // replayTestConfig is a small but real mixed replay: all three job classes,
@@ -76,32 +74,6 @@ func TestReplayDeterministic(t *testing.T) {
 		a.MeanAccuracy != b.MeanAccuracy || a.MeanInputDur != b.MeanInputDur ||
 		a.Launched != b.Launched || a.Killed != b.Killed {
 		t.Fatalf("replay not deterministic:\n a: %+v\n b: %+v", a, b)
-	}
-}
-
-// TestReplayQueueKindInvariance: the event-queue implementation is pure
-// mechanism — a heap replay and a calendar replay of the same trace agree
-// on every simulation-derived number. This is the end-to-end leg of the
-// heap-vs-calendar differential evidence (simevent's fuzz harness is the
-// per-operation leg).
-func TestReplayQueueKindInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full streaming replay")
-	}
-	run := func(q simevent.QueueKind) *ReplayStats {
-		rc := replayTestConfig(150)
-		rc.Queue = q
-		rs, err := Replay(rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs.Wall, rs.ShardWalls, rs.Shards = 0, nil, 0
-		rs.HeapHighWater, rs.HeapSysHighWater = 0, 0
-		return rs
-	}
-	cal, heap := run(simevent.Calendar), run(simevent.Heap)
-	if !reflect.DeepEqual(cal, heap) {
-		t.Fatalf("queue kind changed the replay:\n calendar: %+v\n heap:     %+v", cal, heap)
 	}
 }
 

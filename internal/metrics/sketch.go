@@ -125,13 +125,3 @@ func (s *Sketch) Clone() *Sketch {
 // exact: q = 0 reports Min and q = 1 reports Max. An empty sketch reports
 // 0; q outside [0, 1] is clamped.
 func (s *Sketch) Quantile(q float64) float64 { return s.hist.Quantile(q) }
-
-// Quantiles fills out[i] = Quantile(qs[i]) with one key sort for the whole
-// batch — the periodic stats line asks for four quantiles at a time.
-func (s *Sketch) Quantiles(qs []float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = s.Quantile(q)
-	}
-	return out
-}

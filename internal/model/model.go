@@ -157,17 +157,12 @@ func (r Reactive) Validate() error {
 	return nil
 }
 
-// Waves returns W = T/S.
-func (r Reactive) Waves() float64 { return r.T / r.S }
-
 // earlyEfficiency is Eq. (3)'s first line without the capacity factor: the
 // useful work delivered per slot-second under ω-threshold speculation.
 func (r Reactive) earlyEfficiency(omega float64) float64 {
 	p := r.Tau
-	pLess := 1 - survival(p, omega)
 	pMore := survival(p, omega)
 	denom := truncMean(p, omega) + (2*minResidualMean(p, omega)+omega)*pMore
-	_ = pLess // truncMean already folds in P(τ<ω)
 	if denom <= 0 {
 		return math.Inf(1)
 	}

@@ -14,10 +14,10 @@ import (
 // the two variants at the same n is exactly the queue implementation
 // (callbacks, recycling and the staging layer are shared).
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []QueueKind{Calendar, Heap} {
+	for _, impl := range queueImpls {
 		for _, n := range []int{64, 1024, 16384} {
-			b.Run(fmt.Sprintf("%s/pending=%d", kind, n), func(b *testing.B) {
-				eng := NewKind(kind)
+			b.Run(fmt.Sprintf("%s/pending=%d", impl.name, n), func(b *testing.B) {
+				eng := impl.new()
 				rng := rand.New(rand.NewSource(1))
 				var fn func(*Engine)
 				fn = func(e *Engine) {

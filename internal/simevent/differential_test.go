@@ -24,8 +24,8 @@ type qdriver struct {
 	log  []string
 }
 
-func newQdriver(k QueueKind) *qdriver {
-	return &qdriver{eng: NewKind(k), pend: make(map[int]*Event)}
+func newQdriver(eng *Engine) *qdriver {
+	return &qdriver{eng: eng, pend: make(map[int]*Event)}
 }
 
 func (d *qdriver) note(format string, args ...any) {
@@ -148,12 +148,12 @@ func (d *qdriver) applyOps(ops []byte) {
 	d.note("end now=%.6g fired=%d len=%d", d.eng.Now(), d.eng.Fired(), d.eng.Len())
 }
 
-// diffQueues runs the script against both queue kinds and reports the
-// first observation that differs.
+// diffQueues runs the script against both queue implementations and
+// reports the first observation that differs.
 func diffQueues(t *testing.T, ops []byte) {
 	t.Helper()
-	ref := newQdriver(Heap)
-	cal := newQdriver(Calendar)
+	ref := newQdriver(newHeapEngine())
+	cal := newQdriver(New())
 	ref.applyOps(ops)
 	cal.applyOps(ops)
 	if len(ref.log) != len(cal.log) {

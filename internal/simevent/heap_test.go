@@ -2,9 +2,21 @@ package simevent
 
 import "container/heap"
 
-// heapQueue is the binary-heap queue — the original engine and the
-// reference implementation the differential harness checks the calendar
-// queue against. O(log n) per push/pop.
+// newHeapEngine returns an engine on the reference heap queue.
+func newHeapEngine() *Engine { return &Engine{q: &heapQueue{}} }
+
+// queueImpls names the engines the harnesses compare, reference first.
+var queueImpls = []struct {
+	name string
+	new  func() *Engine
+}{
+	{"heap", newHeapEngine},
+	{"calendar", New},
+}
+
+// heapQueue is the binary-heap queue — the original engine, kept as the
+// reference implementation the differential and lifetime harnesses check
+// the calendar queue against. O(log n) per push/pop.
 type heapQueue struct {
 	h eventHeap
 }

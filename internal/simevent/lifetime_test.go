@@ -15,9 +15,8 @@ import (
 
 // lifetimeHarness drives one engine with a random schedule/cancel/step/
 // run-until mix while checking the shadow set after every operation.
-func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
+func lifetimeHarness(t *testing.T, name string, eng *Engine, seed int64, nOps int) {
 	t.Helper()
-	eng := NewKind(kind)
 	rng := rand.New(rand.NewSource(seed))
 	live := make(map[*Event]int) // handle -> id, the could-still-Cancel set
 	nextID := 0
@@ -25,10 +24,10 @@ func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
 	check := func(op string) {
 		for ev, id := range live {
 			if ev.Cancelled() {
-				t.Fatalf("%s/%s: pending handle #%d reads Cancelled", kind, op, id)
+				t.Fatalf("%s/%s: pending handle #%d reads Cancelled", name, op, id)
 			}
 			if ev.Fn == nil {
-				t.Fatalf("%s/%s: pending handle #%d lost its callback — recycled while live", kind, op, id)
+				t.Fatalf("%s/%s: pending handle #%d lost its callback — recycled while live", name, op, id)
 			}
 		}
 	}
@@ -47,7 +46,7 @@ func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
 			ev = eng.At(tm, fn)
 		}
 		if other, clash := live[ev]; clash {
-			t.Fatalf("%s: schedule #%d returned the live handle of pending #%d — recycled while a caller could still Cancel it", kind, id, other)
+			t.Fatalf("%s: schedule #%d returned the live handle of pending #%d — recycled while a caller could still Cancel it", name, id, other)
 		}
 		live[ev] = id
 	}
@@ -74,7 +73,7 @@ func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
 				delete(live, ev)
 				eng.Cancel(ev)
 				if !ev.Cancelled() {
-					t.Fatalf("%s: freshly cancelled handle does not read Cancelled", kind)
+					t.Fatalf("%s: freshly cancelled handle does not read Cancelled", name)
 				}
 			}
 			check("cancel")
@@ -89,16 +88,16 @@ func lifetimeHarness(t *testing.T, kind QueueKind, seed int64, nOps int) {
 	for eng.Step() {
 	}
 	if len(live) != 0 {
-		t.Fatalf("%s: %d handles still tracked after a full drain — events lost", kind, len(live))
+		t.Fatalf("%s: %d handles still tracked after a full drain — events lost", name, len(live))
 	}
 }
 
 func TestHandleLifetimeContract(t *testing.T) {
-	for _, kind := range []QueueKind{Heap, Calendar} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, impl := range queueImpls {
+		impl := impl
+		t.Run(impl.name, func(t *testing.T) {
 			for seed := int64(0); seed < 50; seed++ {
-				lifetimeHarness(t, kind, seed, 400)
+				lifetimeHarness(t, impl.name, impl.new(), seed, 400)
 			}
 		})
 	}
@@ -113,8 +112,8 @@ func FuzzHandleLifetime(f *testing.F) {
 		if nOps > 4000 {
 			nOps = 4000
 		}
-		for _, kind := range []QueueKind{Heap, Calendar} {
-			lifetimeHarness(t, kind, seed, int(nOps))
+		for _, impl := range queueImpls {
+			lifetimeHarness(t, impl.name, impl.new(), seed, int(nOps))
 		}
 	})
 }

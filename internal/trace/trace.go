@@ -376,40 +376,14 @@ func Summarize(cfg Config, jobs []*task.Job) Stats {
 		BinCounts: make(map[task.SizeBin]int),
 	}
 	for _, j := range jobs {
-		s.fold(j)
-	}
-	return s
-}
-
-// SummarizeSource drains src and computes the same statistics Summarize
-// does, in bounded memory: each job is folded into the running aggregates
-// and — when src recycles (Releaser) — handed straight back, so a multi-GB
-// imported trace summarizes while holding one job at a time. Workload and
-// Framework are left zero; imported traces carry neither.
-func SummarizeSource(src Source) Stats {
-	s := Stats{BinCounts: make(map[task.SizeBin]int)}
-	rel, _ := src.(Releaser)
-	for {
-		j, ok := src.Next()
-		if !ok {
-			return s
+		s.TotalTasks += j.NumTasks()
+		s.BinCounts[j.Bin()]++
+		if j.Arrival > s.Span {
+			s.Span = j.Arrival
 		}
-		s.Jobs++
-		s.fold(j)
-		if rel != nil {
-			rel.Release(j)
-		}
-	}
-}
-
-// fold accumulates one job into the summary.
-func (s *Stats) fold(j *task.Job) {
-	s.TotalTasks += j.NumTasks()
-	s.BinCounts[j.Bin()]++
-	if j.Arrival > s.Span {
-		s.Span = j.Arrival
 	}
 	if s.Jobs > 0 {
 		s.MeanTasks = float64(s.TotalTasks) / float64(s.Jobs)
 	}
+	return s
 }

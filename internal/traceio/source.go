@@ -144,10 +144,6 @@ func (s *Source) Release(j *task.Job) {
 // nil.
 func (s *Source) Err() error { return s.dec.err() }
 
-// Emitted reports how many jobs the underlying decoder has produced so far
-// across all shards — after a full drain, the trace's job count.
-func (s *Source) Emitted() int { return s.emit }
-
 // Close releases the underlying file. Safe to call on reader-backed
 // sources (no-op) and more than once.
 func (s *Source) Close() error {
