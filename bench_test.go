@@ -10,8 +10,8 @@
 //
 // These are *result* benchmarks. The *performance* benchmarks of the
 // simulator's dispatch hot path (BenchmarkSimulatorQuick, BenchmarkDispatch,
-// BenchmarkBuildViews, and BenchmarkLargeJobReplay's incremental-vs-rebuild
-// candidate-view comparison) live in internal/sched; their per-event
+// BenchmarkBuildViews, and BenchmarkLargeJobReplay's large-job candidate-view
+// profile) live in internal/sched; their per-event
 // numbers are tracked across PRs in BENCH_sim.json, and
 // `grass-bench -profile <prefix>` writes pprof profiles for digging into
 // regressions.

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/approx-analytics/grass/internal/exp"
@@ -22,57 +23,50 @@ import (
 )
 
 func main() {
-	var (
-		policy    = flag.String("policy", "grass", "speculation policy")
-		workload  = flag.String("workload", "facebook", "facebook | bing")
-		framework = flag.String("framework", "hadoop", "hadoop | spark")
-		bound     = flag.String("bound", "deadline", "deadline | error | exact | mixed")
-		jobs      = flag.Int("jobs", 200, "number of jobs")
-		load      = flag.Float64("load", 0.7, "offered load")
-		dag       = flag.Int("dag", 1, "DAG length (phases)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		machines  = flag.Int("machines", 200, "cluster machines")
-		slotsPer  = flag.Int("slots", 2, "slots per machine")
-	)
-	flag.Parse()
-	if err := run(*policy, *workload, *framework, *bound, *jobs, *load, *dag, *seed, *machines, *slotsPer); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "grass-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(policy, workload, framework, bound string, jobs int, load float64, dag int, seed int64, machines, slotsPer int) error {
-	tc, err := traceConfig(workload, framework, bound)
+// run parses the command line args and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("grass-sim", flag.ExitOnError)
+	var (
+		policy    = fs.String("policy", "grass", "speculation policy")
+		workload  = fs.String("workload", "facebook", "facebook | bing")
+		framework = fs.String("framework", "hadoop", "hadoop | spark")
+		bound     = fs.String("bound", "deadline", "deadline | error | exact | mixed")
+		jobs      = fs.Int("jobs", 200, "number of jobs")
+		load      = fs.Float64("load", 0.7, "offered load")
+		dag       = fs.Int("dag", 1, "DAG length (phases)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		machines  = fs.Int("machines", 200, "cluster machines")
+		slotsPer  = fs.Int("slots", 2, "slots per machine")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with usage
+	tc, err := traceConfig(*workload, *framework, *bound)
 	if err != nil {
 		return err
 	}
-	tc.Jobs = jobs
-	tc.Load = load
-	tc.Seed = seed
-	tc.Slots = machines * slotsPer
-	if dag > 1 {
-		tc.DAGLength = dag
+	tc.Jobs = *jobs
+	tc.Load = *load
+	tc.Seed = *seed
+	tc.Slots = *machines * *slotsPer
+	if *dag > 1 {
+		tc.DAGLength = *dag
 	}
 	stream, err := trace.NewStream(tc)
 	if err != nil {
 		return err
 	}
 
-	scfg := sched.DefaultConfig()
-	scfg.Cluster.Machines = machines
-	scfg.Cluster.SlotsPerMachine = slotsPer
-	scfg.Seed = seed
-	if tc.Framework == trace.Spark {
-		// Smaller tasks are more sensitive to estimation error (§6.3.2).
-		scfg.Estimator.TRemNoise = 0.5
-		scfg.Estimator.TNewNoise = 0.25
-	}
-	factory, oracleMode, err := exp.NewFactory(policy, seed)
+	factory, oracleMode, err := exp.NewFactory(*policy, *seed)
 	if err != nil {
 		return err
 	}
-	scfg.Oracle = oracleMode
-
+	scfg := exp.Config{Machines: *machines, SlotsPerMachine: *slotsPer}.
+		SchedConfig(tc.Framework, *seed, oracleMode)
 	sim, err := sched.New(scfg, factory)
 	if err != nil {
 		return err
@@ -82,7 +76,7 @@ func run(policy, workload, framework, bound string, jobs int, load float64, dag 
 	if err != nil {
 		return err
 	}
-	report(tc, factory.Name(), stats)
+	report(w, tc, factory.Name(), stats)
 	return nil
 }
 
@@ -102,12 +96,12 @@ func traceConfig(workload, framework, bound string) (trace.Config, error) {
 	return trace.DefaultConfig(w, f, b), nil
 }
 
-func report(tc trace.Config, policy string, stats *sched.RunStats) {
-	fmt.Printf("policy=%s workload=%s framework=%s bound=%v jobs=%d\n",
+func report(w io.Writer, tc trace.Config, policy string, stats *sched.RunStats) {
+	fmt.Fprintf(w, "policy=%s workload=%s framework=%s bound=%v jobs=%d\n",
 		policy, tc.Workload, tc.Framework, tc.Bound, len(stats.Results))
-	fmt.Printf("makespan=%.1f meanUtil=%.2f events=%d estimatorAcc=%.2f\n",
+	fmt.Fprintf(w, "makespan=%.1f meanUtil=%.2f events=%d estimatorAcc=%.2f\n",
 		stats.Makespan, stats.MeanUtilization, stats.Events, stats.EstimatorAccuracy)
-	fmt.Printf("%-8s %6s %10s %10s %8s %8s\n", "bin", "jobs", "accuracy", "duration", "spec", "killed")
+	fmt.Fprintf(w, "%-8s %6s %10s %10s %8s %8s\n", "bin", "jobs", "accuracy", "duration", "spec", "killed")
 	for _, b := range task.AllBins {
 		rs := metrics.FilterBin(stats.Results, b)
 		if len(rs) == 0 {
@@ -118,9 +112,9 @@ func report(tc trace.Config, policy string, stats *sched.RunStats) {
 			spec += r.Speculative
 			killed += r.Killed
 		}
-		fmt.Printf("%-8s %6d %10.3f %10.2f %8d %8d\n",
+		fmt.Fprintf(w, "%-8s %6d %10.3f %10.2f %8d %8d\n",
 			b, len(rs), metrics.MeanAccuracy(rs), metrics.MeanInputDuration(rs), spec, killed)
 	}
-	fmt.Printf("%-8s %6d %10.3f %10.2f\n", "all", len(stats.Results),
+	fmt.Fprintf(w, "%-8s %6d %10.3f %10.2f\n", "all", len(stats.Results),
 		metrics.MeanAccuracy(stats.Results), metrics.MeanInputDuration(stats.Results))
 }

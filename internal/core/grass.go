@@ -217,8 +217,8 @@ type policy struct {
 }
 
 // clearArgs drops the stashed candidate state when a call returns: the
-// views belong to the scheduler (the shared rebuild buffer, a per-phase
-// ViewSet) and must not be retained across calls — a later out-of-call
+// views belong to the caller (a per-phase ViewSet, or the slice handed
+// to Pick) and must not be retained across calls — a later out-of-call
 // read should hit nil, not a dead phase's views.
 func (g *policy) clearArgs() { g.tasksArg, g.vsArg = nil, nil }
 

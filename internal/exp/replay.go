@@ -36,6 +36,7 @@ type ReplayConfig struct {
 	// Workload, Framework, Bound select the synthetic trace. The zero Bound
 	// is trace.DeadlineBound; DefaultReplayConfig picks trace.MixedBound,
 	// the mixed production workload replays are normally run with.
+	// Framework also selects the estimator-noise regime (Config.SchedConfig).
 	Workload  trace.Workload
 	Framework trace.Framework
 	Bound     trace.BoundMode
@@ -70,8 +71,8 @@ type ReplayConfig struct {
 	// record validated with positioned errors, the job count established
 	// for the sharded merge — then streamed per partition, so a multi-GB
 	// log replays in the same bounded memory as a synthetic stream. Jobs,
-	// Workload, Framework and Bound are ignored (the trace is the
-	// workload; bounds come from TraceOptions).
+	// Workload and Bound are ignored (the trace is the workload; bounds
+	// come from TraceOptions); Framework still selects estimator noise.
 	TraceFile    string
 	TraceFormat  traceio.Format
 	TraceOptions *traceio.Options
@@ -354,11 +355,8 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	if cfg.FaultSeed != 0 {
 		fc.Seed = cfg.FaultSeed
 	}
-	scfg := sched.DefaultConfig()
-	scfg.Cluster.Machines = cfg.Machines
-	scfg.Cluster.SlotsPerMachine = cfg.SlotsPerMachine
-	scfg.Seed = cfg.Seed
-	scfg.Oracle = oracleMode
+	scfg := Config{Machines: cfg.Machines, SlotsPerMachine: cfg.SlotsPerMachine}.
+		SchedConfig(cfg.Framework, cfg.Seed, oracleMode)
 	scfg.Faults = fc
 	// The default event ceiling guards tests; a million-job replay
 	// legitimately fires hundreds of millions of events.

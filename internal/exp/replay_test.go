@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/approx-analytics/grass/internal/trace"
 )
 
 // replayTestConfig is a small but real mixed replay: all three job classes,
@@ -85,6 +87,46 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 	rc.Policy = "bogus"
 	if _, err := Replay(rc); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestReplayFrameworkNoise: a replay runs with the same simulator
+// configuration as the figure harness for its framework — in particular
+// Spark's extra estimator noise (§6.3.2) — so a one-partition replay of a
+// trace equals Config.Run on that trace, for Hadoop and Spark alike.
+func TestReplayFrameworkNoise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full streaming replay")
+	}
+	const load = 0.75
+	for _, fw := range []trace.Framework{trace.Hadoop, trace.Spark} {
+		t.Run(fw.String(), func(t *testing.T) {
+			rc := replayTestConfig(80)
+			rc.Framework = fw
+			rc.Bound = trace.DeadlineBound
+			rc.Load = load
+			rs, err := Replay(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := Config{Jobs: rc.Jobs, Machines: rc.Machines, SlotsPerMachine: rc.SlotsPerMachine, DeadlineLoad: load}
+			results, err := c.Run(trace.Facebook, fw, trace.DeadlineBound, rc.Policy, rc.Seed, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var launched, killed int64
+			var accSum float64
+			for _, r := range results {
+				launched += int64(r.Launched)
+				killed += int64(r.Killed)
+				accSum += r.Accuracy
+			}
+			acc := accSum / float64(len(results))
+			if rs.DeadlineJobs != len(results) || rs.Launched != launched || rs.Killed != killed || rs.MeanAccuracy != acc {
+				t.Fatalf("replay diverged from Config.Run: replay %d jobs, launched %d, killed %d, accuracy %v; run %d jobs, launched %d, killed %d, accuracy %v",
+					rs.DeadlineJobs, rs.Launched, rs.Killed, rs.MeanAccuracy, len(results), launched, killed, acc)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *benchStream) Next() (*task.Job, bool) {
 // task-view touches per launch attempt — the numbers BENCH_sim.json tracks
 // across PRs. With stream set, jobs are injected through RunSource instead
 // of the materializing Run.
-func runSimBench(b *testing.B, stream, forceInc bool, factory func() spec.Factory) {
+func runSimBench(b *testing.B, stream bool, factory func() spec.Factory) {
 	b.Helper()
 	jobs := benchJobs(60)
 	var events, allocs, touches, attempts uint64
@@ -82,9 +82,6 @@ func runSimBench(b *testing.B, stream, forceInc bool, factory func() spec.Factor
 		s, err := New(benchConfig(1), factory())
 		if err != nil {
 			b.Fatal(err)
-		}
-		if forceInc {
-			s.incMinTasks = 0
 		}
 		run := func() (*RunStats, error) { return s.Run(jobs) }
 		if stream {
@@ -122,36 +119,22 @@ func runSimBench(b *testing.B, stream, forceInc bool, factory func() spec.Factor
 // one iteration simulates the full mixed workload end to end. The policy
 // sub-benchmarks cover the paper's main contenders; "late" additionally
 // exercises the percentile machinery of the LATE baseline. The workload's
-// jobs are all below the incremental-views size crossover, so the plain
-// variants exercise the production default (the rebuild walk at these
-// sizes); the "-inc" variants force the incrementally maintained ViewSet
-// for every phase — the small-job end of the incremental-vs-rebuild
-// comparison BENCH_sim.json records (BenchmarkLargeJobReplay is the
-// large-job end, where the incremental path wins by an order of
-// magnitude).
+// jobs have 20–195 tasks, the small-job end of the view maintenance
+// BENCH_sim.json records (BenchmarkLargeJobReplay is the large-job end).
 func BenchmarkSimulatorQuick(b *testing.B) {
 	b.Run("gs", func(b *testing.B) {
-		runSimBench(b, false, false, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
+		runSimBench(b, false, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	b.Run("ras", func(b *testing.B) {
-		runSimBench(b, false, false, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
+		runSimBench(b, false, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
 	})
 	b.Run("late", func(b *testing.B) {
-		runSimBench(b, false, false, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
+		runSimBench(b, false, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
 	})
 	// The streaming admission path (RunSource) on the same workload: one
 	// reusable arrival closure instead of one closure per job.
 	b.Run("gs-stream", func(b *testing.B) {
-		runSimBench(b, true, false, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
-	})
-	b.Run("gs-inc", func(b *testing.B) {
-		runSimBench(b, false, true, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
-	})
-	b.Run("ras-inc", func(b *testing.B) {
-		runSimBench(b, false, true, func() spec.Factory { return spec.Stateless(spec.NewRAS()) })
-	})
-	b.Run("late-inc", func(b *testing.B) {
-		runSimBench(b, false, true, func() spec.Factory { return spec.Stateless(spec.NewLATE()) })
+		runSimBench(b, true, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
 	})
 	// The learning policy itself, under both learner stores. Record and
 	// Aggregate ride the job lifecycle (sample completions, switch-point
@@ -159,10 +142,10 @@ func BenchmarkSimulatorQuick(b *testing.B) {
 	// track the stateless baselines; the gap between them is the price of
 	// mergeable (partition-invariant) learning.
 	b.Run("grass", func(b *testing.B) {
-		runSimBench(b, false, false, func() spec.Factory { return benchGrassFactory(core.LearnerRing) })
+		runSimBench(b, false, func() spec.Factory { return benchGrassFactory(core.LearnerRing) })
 	})
 	b.Run("grass-sketch", func(b *testing.B) {
-		runSimBench(b, false, false, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
+		runSimBench(b, false, func() spec.Factory { return benchGrassFactory(core.LearnerSketch) })
 	})
 }
 
@@ -278,12 +261,11 @@ func BenchmarkDispatch(b *testing.B) {
 }
 
 // BenchmarkLargeJobReplay is the large-job replay profile: a handful of
-// overlapping 2000-task jobs simulated end to end under GS, where the
-// pre-incremental path rescanned thousands of incomplete tasks on every
-// launch attempt. touches/attempt is the headline comparison BENCH_sim.json
-// records — the incremental path must touch at least 3x fewer views per
-// attempt than the rebuild path (in practice the gap is far larger: an
-// attempt touches the running set, not the whole job).
+// overlapping 2000-task jobs simulated end to end under GS, where a
+// from-scratch view walk would rescan thousands of incomplete tasks on
+// every launch attempt. touches/attempt is the figure BENCH_sim.json
+// records: an attempt touches the running and dirtied tasks, not the
+// whole job.
 func BenchmarkLargeJobReplay(b *testing.B) {
 	jobs := func() []*task.Job {
 		return []*task.Job{
@@ -327,9 +309,6 @@ func BenchmarkLargeJobReplay(b *testing.B) {
 	}
 	b.Run("incremental", func(b *testing.B) {
 		run(b, func() spec.Factory { return spec.Stateless(spec.NewGS()) })
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		run(b, func() spec.Factory { return rebuildOnly{spec.Stateless(spec.NewGS())} })
 	})
 }
 
@@ -391,28 +370,17 @@ func BenchmarkShardedReplay(b *testing.B) {
 }
 
 // BenchmarkBuildViews measures the per-launch-attempt view cost for one
-// mid-flight job: the from-scratch rebuild walks all 300 tasks, the
-// incremental refresh only the running set (nothing is dirty between
-// attempts at one timestamp — the steady state of a dispatch round).
+// mid-flight 300-task job: the refresh walks only the running set
+// (nothing is dirty between attempts at one timestamp — the steady state
+// of a dispatch round).
 func BenchmarkBuildViews(b *testing.B) {
-	setup := func(b *testing.B) (*Simulator, *jobState) {
+	b.Run("incremental", func(b *testing.B) {
 		s, err := New(benchConfig(1), spec.Stateless(spec.NoSpec{}))
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.admit(uniformJob(0, 300, task.Exact(), 0))
-		return s, s.active[0]
-	}
-	b.Run("rebuild", func(b *testing.B) {
-		s, js := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.buildViews(js)
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		s, js := setup(b)
+		js := s.active[0]
 		s.refreshViews(js) // build once; iterations measure the steady state
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -12,18 +12,18 @@ import (
 	"github.com/approx-analytics/grass/internal/task"
 )
 
-// This file is the differential harness locking the incremental candidate
-// views to the from-scratch rebuild path: at every launch attempt of a
+// This file is the differential harness locking the maintained candidate
+// views to their from-scratch reference: at every launch attempt of a
 // fixed-seed run, the maintained ViewSet must DeepEqual a side-effect-free
-// buildViews rebuild and the policy's PickIncremental must return the
-// identical Decision its reference Pick returns — for all seven policy
-// families. A full-run check then asserts the end-to-end RunStats are
-// DeepEqual when the same workload replays with the incremental path
-// disabled entirely.
+// rebuild and the policy's PickIncremental must return the identical
+// Decision its reference Pick returns — for all seven policy families. A
+// full-run check then asserts the end-to-end RunStats are DeepEqual when
+// the same workload replays with every policy reduced to its Pick (served
+// through pickAdapter).
 
-// pickOnly strips the IncrementalPolicy implementation from a policy,
-// forcing the simulator onto the from-scratch buildViews + Pick path (the
-// pre-incremental behavior).
+// pickOnly strips the IncrementalPolicy implementation from a policy, so
+// the simulator serves it through pickAdapter: the reference Pick on the
+// flattened ViewSet.
 type pickOnly struct{ p spec.Policy }
 
 func (w pickOnly) Name() string { return w.p.Name() }
@@ -31,11 +31,11 @@ func (w pickOnly) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool
 	return w.p.Pick(ctx, tasks)
 }
 
-// rebuildOnly wraps a factory so every policy it builds is a pickOnly.
-type rebuildOnly struct{ f spec.Factory }
+// pickOnlyFactory wraps a factory so every policy it builds is a pickOnly.
+type pickOnlyFactory struct{ f spec.Factory }
 
-func (r rebuildOnly) Name() string { return r.f.Name() }
-func (r rebuildOnly) NewPolicy(jobID, numTasks int) spec.Policy {
+func (r pickOnlyFactory) Name() string { return r.f.Name() }
+func (r pickOnlyFactory) NewPolicy(jobID, numTasks int) spec.Policy {
 	return pickOnly{r.f.NewPolicy(jobID, numTasks)}
 }
 
@@ -110,7 +110,7 @@ func diffWorkload() []*task.Job {
 }
 
 // attachDifferentialCheck arms the simulator's per-attempt hook: the
-// incremental ViewSet and decision are compared against a from-scratch,
+// maintained ViewSet and decision are compared against a from-scratch,
 // side-effect-free rebuild and the reference Pick. Returns a counter of
 // checked attempts.
 func attachDifferentialCheck(t testing.TB, s *Simulator) *int {
@@ -167,7 +167,6 @@ func TestDifferentialViews(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.incMinTasks = 0 // every phase incremental, whatever its size
 			checked := attachDifferentialCheck(t, s)
 			if _, err := s.Run(diffWorkload()); err != nil {
 				t.Fatal(err)
@@ -180,11 +179,12 @@ func TestDifferentialViews(t *testing.T) {
 }
 
 // TestIncrementalMatchesRebuild runs the same workload twice per policy —
-// once on the incremental path, once with IncrementalPolicy stripped so
-// the simulator rebuilds views from scratch — and requires the complete
-// RunStats (every per-job result, makespan, event count, estimator
-// accuracy) to be deeply equal: the incremental path is hash-identical to
-// the pre-incremental behavior, not merely close.
+// once through the policy's PickIncremental, once with IncrementalPolicy
+// stripped so every attempt runs the reference Pick on the flattened
+// ViewSet (pickAdapter) — and requires the complete RunStats (every
+// per-job result, makespan, event count, estimator accuracy) to be deeply
+// equal: the fast pick is hash-identical to its reference, not merely
+// close.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	for _, p := range diffPolicies {
 		t.Run(p.name, func(t *testing.T) {
@@ -195,7 +195,6 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.incMinTasks = 0 // incremental for every phase (no-op for pickOnly)
 				stats, err := s.Run(diffWorkload())
 				if err != nil {
 					t.Fatal(err)
@@ -203,9 +202,9 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				return stats
 			}
 			inc := run(p.factory(t))
-			reb := run(rebuildOnly{p.factory(t)})
-			if !reflect.DeepEqual(inc, reb) {
-				t.Fatalf("incremental RunStats diverged from rebuild path:\nincremental: %+v\nrebuild:     %+v", inc, reb)
+			ref := run(pickOnlyFactory{p.factory(t)})
+			if !reflect.DeepEqual(inc, ref) {
+				t.Fatalf("PickIncremental RunStats diverged from the Pick-only run:\nincremental: %+v\npick-only:   %+v", inc, ref)
 			}
 		})
 	}

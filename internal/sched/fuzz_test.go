@@ -8,9 +8,9 @@ import (
 
 // FuzzIncrementalViews replays a fuzzed sequence of simulator events —
 // copy launches and finishes (engine steps), fair-share preemptions,
-// estimator-base bumps, and extra same-timestamp dispatch rounds —
-// against both view paths: every launch attempt runs the differential
-// check (incremental ViewSet DeepEqual a from-scratch rebuild, and
+// estimator-base bumps, and extra same-timestamp dispatch rounds — with
+// the differential check on every launch attempt (maintained ViewSet
+// DeepEqual a side-effect-free from-scratch rebuild, and
 // PickIncremental's Decision identical to the reference Pick's). The op
 // stream steers which dirtying transitions interleave, which is exactly
 // the state space the incremental maintenance must cover.
@@ -30,7 +30,6 @@ func FuzzIncrementalViews(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.incMinTasks = 0 // every phase incremental, whatever its size
 		attachDifferentialCheck(t, s)
 		// A small mixed active set: all three bound kinds, one DAG job, so
 		// phase transitions and deadline freezes are reachable.

@@ -19,7 +19,6 @@ func TestEstimatorBumpDirtiesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.incMinTasks = 0 // incremental views for every phase size
 	s.admit(uniformJob(0, 60, task.Exact(), 0))
 	js := s.active[0]
 	// Run until a few tasks completed, so "every incomplete task" is a

@@ -210,8 +210,9 @@ func (vs *ViewSet) ResortByTNew() {
 }
 
 // AppendCompact appends the views of every incomplete task in ascending
-// index order — the exact slice a from-scratch rebuild would produce,
-// which the differential tests compare against.
+// index order — the exact slice a from-scratch rebuild would produce. The
+// scheduler hands it to Pick-only policies, and the differential tests
+// compare it against such a rebuild.
 func (vs *ViewSet) AppendCompact(dst []TaskView) []TaskView {
 	ri, ui := 0, 0
 	for ri < len(vs.running) || ui < len(vs.unsched) {
