@@ -34,15 +34,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/exp"
 	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/trace"
@@ -52,191 +56,191 @@ import (
 // main delegates to run so deferred cleanup (profile finalization) executes
 // on every exit path; os.Exit here would skip it.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		fig     = flag.String("fig", "", "run one experiment by ID (see -list)")
-		full    = flag.Bool("full", false, "full-size runs (slower; EXPERIMENTS.md numbers)")
-		list    = flag.Bool("list", false, "list experiment IDs")
-		workers = flag.Int("workers", 0, "concurrent simulations per experiment (0 = all cores); results are identical for any value")
-		profile = flag.String("profile", "", "write <prefix>.cpu.prof and <prefix>.mem.prof covering the runs (bare prefixes go to a temp dir)")
+// options holds the parsed command line: the experiment switches, and the
+// replay bound straight into its typed configuration.
+type options struct {
+	fig, profile string
+	full, list   bool
+	workers      int
+	replay       exp.ReplayConfig
+}
 
-		jobs        = flag.Int("jobs", 0, "streaming replay: replay this many jobs instead of running experiments")
-		policy      = flag.String("policy", "gs", "replay policy (see grass-sim for names)")
-		workload    = flag.String("workload", "facebook", "replay workload: facebook | bing")
-		bound       = flag.String("bound", "mixed", "replay bound mode: mixed | deadline | error | exact")
-		seed        = flag.Int64("seed", 1, "replay seed")
-		traceFile   = flag.String("trace-file", "", "streaming replay of an imported real cluster trace (SWIM or Google task_events, .gz ok) instead of a synthetic workload")
-		traceFormat = flag.String("trace-format", "swim", "imported trace format: swim | google")
-		shards      = flag.Int("shards", 1, "replay worker goroutines executing partitions; with -partitions set explicitly this never changes results, but when -partitions is 0 it also sets the partition count, which IS model-visible")
-		parts       = flag.Int("partitions", 0, "replay partition count — the sharded model: cluster and trace split with a deterministic merge; results are comparable only at equal partition counts (0 = same as -shards; 1 = the plain engine)")
-		learner     = flag.String("learner", "ring", "GRASS learner: ring (per-partition ring buffer) | sketch (mergeable sketch store — partition-invariant learning at -partitions > 1)")
-		learnEpochs = flag.Int("learn-epochs", 1, "replay the trace this many times, carrying merged learned state into each next epoch (needs -learner sketch when > 1); stats report the final epoch")
-		scenario    = flag.String("scenario", "", "replay fault scenario: "+strings.Join(fault.Scenarios(), " | ")+" (empty or none = benign cluster)")
-		faultSeed   = flag.Int64("fault-seed", 0, "pin the fault timeline independently of -seed (0 = derive it from -seed)")
-	)
-	flag.Parse()
+// newFlags declares the command's flags on a fresh FlagSet that reports
+// to stderr.
+func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
+	o := &options{replay: exp.DefaultReplayConfig(0)}
+	rc := &o.replay
+	fs := flag.NewFlagSet("grass-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.fig, "fig", "", "run one experiment by ID (see -list)")
+	fs.BoolVar(&o.full, "full", false, "full-size runs (slower; EXPERIMENTS.md numbers)")
+	fs.BoolVar(&o.list, "list", false, "list experiment IDs")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent simulations per experiment (0 = all cores); results are identical for any value")
+	fs.StringVar(&o.profile, "profile", "", "write <prefix>.cpu.prof and <prefix>.mem.prof covering the runs (bare prefixes go to a temp dir)")
 
-	if *list {
+	fs.IntVar(&rc.Jobs, "jobs", 0, "streaming replay: replay this many jobs instead of running experiments")
+	fs.StringVar(&rc.Policy, "policy", "gs", "replay policy (see grass-sim for names)")
+	fs.TextVar(&rc.Workload, "workload", trace.Facebook, "replay workload: facebook | bing")
+	fs.TextVar(&rc.Bound, "bound", trace.MixedBound, "replay bound mode: mixed | deadline | error | exact")
+	fs.Int64Var(&rc.Seed, "seed", 1, "replay seed")
+	fs.StringVar(&rc.TraceFile, "trace-file", "", "streaming replay of an imported real cluster trace (SWIM or Google task_events, .gz ok) instead of a synthetic workload")
+	fs.TextVar(&rc.TraceFormat, "trace-format", traceio.SWIM, "imported trace format: swim | google")
+	fs.IntVar(&rc.Shards, "shards", 1, "replay worker goroutines executing partitions; with -partitions set explicitly this never changes results, but when -partitions is 0 it also sets the partition count, which IS model-visible")
+	fs.IntVar(&rc.Partitions, "partitions", 0, "replay partition count — the sharded model: cluster and trace split with a deterministic merge; results are comparable only at equal partition counts (0 = same as -shards; 1 = the plain engine)")
+	fs.TextVar(&rc.Learner, "learner", core.LearnerRing, "GRASS learner: ring (per-partition ring buffer) | sketch (mergeable sketch store — partition-invariant learning at -partitions > 1)")
+	fs.IntVar(&rc.LearnEpochs, "learn-epochs", 1, "replay the trace this many times, carrying merged learned state into each next epoch (needs -learner sketch when > 1); stats report the final epoch")
+	fs.StringVar(&rc.Scenario, "scenario", "", "replay fault scenario: "+strings.Join(fault.Scenarios(), " | ")+" (empty or none = benign cluster)")
+	fs.Int64Var(&rc.FaultSeed, "fault-seed", 0, "pin the fault timeline independently of -seed (0 = derive it from -seed)")
+	return fs, o
+}
+
+// The command's modes, named the way a refusal names them; exactly one
+// runs per invocation (options.mode).
+const (
+	modeList        = "-list"
+	modeExperiments = "the experiment tables"
+	modeReplay      = "a synthetic streaming replay (-jobs)"
+	modeImport      = "an imported-trace replay (-trace-file)"
+)
+
+var replayModes = []string{modeReplay, modeImport}
+
+// flagModes lists the modes each flag applies to. A flag set outside them
+// is refused: silently ignoring it would run something other than what
+// was asked for.
+var flagModes = map[string][]string{
+	"list": {modeList}, "profile": {modeExperiments, modeReplay, modeImport},
+	"fig": {modeExperiments}, "full": {modeExperiments}, "workers": {modeExperiments},
+	"jobs": {modeReplay}, "workload": {modeReplay}, "bound": {modeReplay},
+	"trace-file": {modeImport}, "trace-format": {modeImport},
+	"policy": replayModes, "seed": replayModes, "shards": replayModes, "partitions": replayModes,
+	"learner": replayModes, "learn-epochs": replayModes, "scenario": replayModes, "fault-seed": replayModes,
+}
+
+// mode picks the invocation's mode: -list, then an imported replay, then
+// a synthetic one, else the experiment tables.
+func (o *options) mode() string {
+	switch {
+	case o.list:
+		return modeList
+	case o.replay.TraceFile != "":
+		return modeImport
+	case o.replay.Jobs != 0:
+		return modeReplay
+	}
+	return modeExperiments
+}
+
+// run parses args, runs the selected mode and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, o := newFlags(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	mode := o.mode()
+	misplaced := ""
+	fs.Visit(func(f *flag.Flag) {
+		if misplaced == "" && !slices.Contains(flagModes[f.Name], mode) {
+			misplaced = f.Name
+		}
+	})
+	if misplaced != "" {
+		fmt.Fprintf(stderr, "grass-bench: -%s does not apply to %s\n", misplaced, mode)
+		return 1
+	}
+	if mode == modeList {
 		for _, e := range exp.All() {
-			fmt.Printf("%-10s %s\n", e.ID, e.Desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.ID, e.Desc)
 		}
 		return 0
 	}
-	if *profile != "" {
-		prefix, err := profilePrefix(*profile)
+	if o.profile != "" {
+		prefix, err := profilePrefix(o.profile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
+			fmt.Fprintf(stderr, "grass-bench: %v\n", err)
 			return 1
 		}
 		cpu, err := os.Create(prefix + ".cpu.prof")
+		if err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
+			fmt.Fprintf(stderr, "grass-bench: %v\n", err)
 			return 1
 		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("profiles: %s.cpu.prof, %s.mem.prof\n", prefix, prefix)
+		fmt.Fprintf(stdout, "profiles: %s.cpu.prof, %s.mem.prof\n", prefix, prefix)
 		// Finalize both profiles even when an experiment fails: a profile of
 		// the run that errored is exactly what the debugging session needs.
 		defer func() {
 			pprof.StopCPUProfile()
 			cpu.Close()
 			mem, err := os.Create(prefix + ".mem.prof")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-				return
+			if err == nil {
+				runtime.GC() // materialize accurate live-heap stats
+				err = pprof.WriteHeapProfile(mem)
+				mem.Close()
 			}
-			defer mem.Close()
-			runtime.GC() // materialize accurate live-heap stats
-			if err := pprof.WriteHeapProfile(mem); err != nil {
-				fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
+			if err != nil {
+				fmt.Fprintf(stderr, "grass-bench: %v\n", err)
 			}
 		}()
 	}
-
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "grass-bench: -jobs %d: a replay needs a positive job count\n", *jobs)
-		return 1
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "grass-bench: -shards %d: need at least one worker goroutine\n", *shards)
-		return 1
-	}
-	if *parts < 0 {
-		fmt.Fprintf(os.Stderr, "grass-bench: -partitions %d: want >= 1, or 0 to follow -shards\n", *parts)
-		return 1
-	}
-	// Fail a bad scenario name up front, and refuse fault flags outside
-	// replay mode — the experiment tables are defined on a benign cluster.
-	if _, err := fault.Scenario(*scenario); err != nil {
-		fmt.Fprintf(os.Stderr, "grass-bench: -scenario: %v\n", err)
-		return 1
-	}
-	if (*scenario != "" && *scenario != "none" || *faultSeed != 0) && *jobs == 0 && *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "grass-bench: -scenario/-fault-seed apply to streaming replays only (set -jobs or -trace-file)")
-		return 1
-	}
-	rc := exp.DefaultReplayConfig(*jobs)
-	rc.Policy = *policy
-	rc.Seed = *seed
-	rc.Shards = *shards
-	rc.Partitions = *parts
-	rc.Learner = *learner
-	rc.LearnEpochs = *learnEpochs
-	rc.Scenario = *scenario
-	rc.FaultSeed = *faultSeed
-	var err error
-	if *traceFile != "" {
-		if *fig != "" || *full {
-			fmt.Fprintln(os.Stderr, "grass-bench: -trace-file (imported replay) cannot be combined with -fig or -full")
-			return 1
-		}
-		// The imported trace IS the workload: flags that shape the
-		// synthetic trace contradict it, and silently ignoring them would
-		// replay something other than what was asked for.
-		conflict := ""
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "jobs", "workload", "bound":
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(os.Stderr, "grass-bench: -%s shapes the synthetic workload and cannot be combined with -trace-file (the trace defines the jobs; bounds come from the import mapping)\n", conflict)
-			return 1
-		}
-		if _, err := os.Stat(*traceFile); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: -trace-file: %v (give a readable SWIM or Google task_events file, optionally .gz)\n", err)
-			return 1
-		}
-		rc.TraceFile = *traceFile
-		if rc.TraceFormat, err = traceio.ParseFormat(*traceFormat); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: -trace-format: %v\n", err)
-			return 1
-		}
-		return runReplay(rc)
-	}
-	if *jobs > 0 {
-		if *fig != "" || *full {
-			fmt.Fprintln(os.Stderr, "grass-bench: -jobs (streaming replay) cannot be combined with -fig or -full")
-			return 1
-		}
-		if *parts > 0 && *jobs < *parts {
-			fmt.Fprintf(os.Stderr, "grass-bench: -jobs %d is fewer than -partitions %d: every partition needs at least one job\n", *jobs, *parts)
-			return 1
-		}
-		if rc.Workload, err = trace.ParseWorkload(*workload); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-			return 1
-		}
-		if rc.Bound, err = trace.ParseBound(*bound); err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %v\n", err)
-			return 1
-		}
-		return runReplay(rc)
+	if mode == modeExperiments {
+		return runExperiments(o, stdout, stderr)
 	}
 
+	rc := o.replay
+	if rc.Shards < 1 {
+		fmt.Fprintf(stderr, "grass-bench: -shards %d: need at least one worker goroutine\n", rc.Shards)
+		return 1
+	}
+	if mode == modeImport {
+		if _, err := os.Stat(rc.TraceFile); err != nil {
+			fmt.Fprintf(stderr, "grass-bench: -trace-file: %v (give a readable SWIM or Google task_events file, optionally .gz)\n", err)
+			return 1
+		}
+	}
+	rs, err := exp.Replay(rc)
+	if err != nil {
+		fmt.Fprintf(stderr, "grass-bench: replay: %v\n", err)
+		return 1
+	}
+	rs.Render(stdout)
+	return 0
+}
+
+// runExperiments renders every experiment, or the one -fig names.
+func runExperiments(o *options, stdout, stderr io.Writer) int {
 	cfg := exp.Quick()
-	if *full {
+	if o.full {
 		cfg = exp.Default()
 	}
-	cfg.Workers = *workers
+	cfg.Workers = o.workers
 	ran := 0
 	for _, e := range exp.All() {
-		if *fig != "" && e.ID != *fig {
+		if o.fig != "" && e.ID != o.fig {
 			continue
 		}
 		ran++
 		start := time.Now()
 		t, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "grass-bench: %s: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "grass-bench: %s: %v\n", e.ID, err)
 			return 1
 		}
-		t.Render(os.Stdout)
-		fmt.Printf("[%s took %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		t.Render(stdout)
+		fmt.Fprintf(stdout, "[%s took %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "grass-bench: unknown experiment %q (try -list)\n", *fig)
+		fmt.Fprintf(stderr, "grass-bench: unknown experiment %q (try -list)\n", o.fig)
 		return 1
 	}
-	return 0
-}
-
-// runReplay executes one streaming replay — synthetic (rc.Jobs > 0) or an
-// imported real trace (rc.TraceFile != "") — and renders its aggregates.
-func runReplay(rc exp.ReplayConfig) int {
-	rs, err := exp.Replay(rc)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "grass-bench: replay: %v\n", err)
-		return 1
-	}
-	rs.Render(os.Stdout)
 	return 0
 }
 

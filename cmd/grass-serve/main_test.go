@@ -3,9 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -91,5 +95,55 @@ func TestScenarioFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "unknown scenario") {
 		t.Fatalf("error does not name the problem:\n%s", out)
+	}
+}
+
+// TestRejectedInvocations pins the exit status of invocations the command
+// must refuse before any service starts: 2 for a command-line error (an
+// unknown flag, a bad enum value), 1 for a rejected value.
+func TestRejectedInvocations(t *testing.T) {
+	cases := []struct {
+		args string
+		code int
+		msg  string // substring of stderr
+	}{
+		{"-jobs -1", 1, "-jobs -1"},
+		{"-jobs 0", 1, "unbounded run"},
+		{"-partitions 0", 1, "-partitions 0"},
+		{"-rate -1", 1, "-rate -1"},
+		{"-wall-speed -1", 1, "-wall-speed -1"},
+		{"-queue-cap -1", 1, "-queue-cap -1"},
+		{"-workload nope -jobs 10", 2, "-workload"},
+		{"-bound nope -jobs 10", 2, "-bound"},
+		{"-scenario nope -jobs 10", 1, "unknown scenario"},
+		{"-policy nope -jobs 10", 1, "unknown policy"},
+		{"-nosuchflag", 2, "-nosuchflag"},
+	}
+	for _, c := range cases {
+		var out, errb bytes.Buffer
+		code := run(strings.Fields(c.args), &out, &errb)
+		if code != c.code || !strings.Contains(errb.String(), c.msg) {
+			t.Errorf("grass-serve %s: exit %d, stderr %q; want exit %d mentioning %q", c.args, code, errb.String(), c.code, c.msg)
+		}
+	}
+}
+
+// TestFlagSurface diffs every flag's name and default against
+// testdata/flags.golden, captured from the command's flag surface before
+// its flags were rebound to typed fields: no flag added, removed or
+// re-defaulted without the golden saying so.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlags(io.Discard)
+	var b strings.Builder
+	b.WriteString("[grass-serve]\n")
+	fs.VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(&b, "-%s %s\n", f.Name, strconv.Quote(f.DefValue))
+	})
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("flag surface changed:\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

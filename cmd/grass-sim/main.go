@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,82 +24,63 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "grass-sim:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run parses the command line args and writes the report to w.
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("grass-sim", flag.ExitOnError)
-	var (
-		policy    = fs.String("policy", "grass", "speculation policy")
-		workload  = fs.String("workload", "facebook", "facebook | bing")
-		framework = fs.String("framework", "hadoop", "hadoop | spark")
-		bound     = fs.String("bound", "deadline", "deadline | error | exact | mixed")
-		jobs      = fs.Int("jobs", 200, "number of jobs")
-		load      = fs.Float64("load", 0.7, "offered load")
-		dag       = fs.Int("dag", 1, "DAG length (phases)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		machines  = fs.Int("machines", 200, "cluster machines")
-		slotsPer  = fs.Int("slots", 2, "slots per machine")
-	)
-	fs.Parse(args) // ExitOnError: a bad flag exits 2 with usage
-	tc, err := traceConfig(*workload, *framework, *bound)
-	if err != nil {
-		return err
-	}
-	tc.Jobs = *jobs
-	tc.Load = *load
-	tc.Seed = *seed
-	tc.Slots = *machines * *slotsPer
-	if *dag > 1 {
-		tc.DAGLength = *dag
-	}
-	stream, err := trace.NewStream(tc)
-	if err != nil {
-		return err
-	}
+// newFlags declares the command's flags, bound straight into the run spec,
+// on a fresh FlagSet that reports to stderr.
+func newFlags(stderr io.Writer) (fs *flag.FlagSet, rs *exp.RunSpec, dag *int) {
+	rs = new(exp.RunSpec)
+	fs = flag.NewFlagSet("grass-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&rs.Policy, "policy", "grass", "speculation policy")
+	fs.TextVar(&rs.Workload, "workload", trace.Facebook, "facebook | bing")
+	fs.TextVar(&rs.Framework, "framework", trace.Hadoop, "hadoop | spark")
+	fs.TextVar(&rs.Bound, "bound", trace.DeadlineBound, "deadline | error | exact | mixed")
+	fs.IntVar(&rs.Jobs, "jobs", 200, "number of jobs")
+	fs.Float64Var(&rs.Load, "load", 0.7, "offered load")
+	dag = fs.Int("dag", 1, "DAG length (phases)")
+	fs.Int64Var(&rs.Seed, "seed", 1, "random seed")
+	fs.IntVar(&rs.Machines, "machines", 200, "cluster machines")
+	fs.IntVar(&rs.SlotsPerMachine, "slots", 2, "slots per machine")
+	return fs, rs, dag
+}
 
-	factory, oracleMode, err := exp.NewFactory(*policy, *seed)
+// run parses args, writes the report to stdout and returns the exit
+// status: 2 for a command-line error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, rs, dag := newFlags(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := simulate(*rs, *dag, stdout); err != nil {
+		fmt.Fprintln(stderr, "grass-sim:", err)
+		return 1
+	}
+	return 0
+}
+
+// simulate streams the spec's trace through the simulator (same results as
+// materializing it, bounded memory) and writes the report to w.
+func simulate(rs exp.RunSpec, dag int, w io.Writer) error {
+	factory, err := rs.Factory(rs.Seed)
 	if err != nil {
 		return err
 	}
-	scfg := exp.Config{Machines: *machines, SlotsPerMachine: *slotsPer}.
-		SchedConfig(tc.Framework, *seed, oracleMode)
-	sim, err := sched.New(scfg, factory)
+	stats, err := rs.Simulate(factory, dag, nil)
 	if err != nil {
 		return err
 	}
-	// Stream the trace: same results as materializing it, bounded memory.
-	stats, err := sim.RunSource(stream)
-	if err != nil {
-		return err
-	}
-	report(w, tc, factory.Name(), stats)
+	report(w, rs, factory.Name(), stats)
 	return nil
 }
 
-func traceConfig(workload, framework, bound string) (trace.Config, error) {
-	w, err := trace.ParseWorkload(workload)
-	if err != nil {
-		return trace.Config{}, err
-	}
-	f, err := trace.ParseFramework(framework)
-	if err != nil {
-		return trace.Config{}, err
-	}
-	b, err := trace.ParseBound(bound)
-	if err != nil {
-		return trace.Config{}, err
-	}
-	return trace.DefaultConfig(w, f, b), nil
-}
-
-func report(w io.Writer, tc trace.Config, policy string, stats *sched.RunStats) {
+func report(w io.Writer, rs exp.RunSpec, policy string, stats *sched.RunStats) {
 	fmt.Fprintf(w, "policy=%s workload=%s framework=%s bound=%v jobs=%d\n",
-		policy, tc.Workload, tc.Framework, tc.Bound, len(stats.Results))
+		policy, rs.Workload, rs.Framework, rs.Bound, len(stats.Results))
 	fmt.Fprintf(w, "makespan=%.1f meanUtil=%.2f events=%d estimatorAcc=%.2f\n",
 		stats.Makespan, stats.MeanUtilization, stats.Events, stats.EstimatorAccuracy)
 	fmt.Fprintf(w, "%-8s %6s %10s %10s %8s %8s\n", "bin", "jobs", "accuracy", "duration", "spec", "killed")

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -26,9 +31,9 @@ func TestGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
-			var out bytes.Buffer
-			if err := run(c.args, &out); err != nil {
-				t.Fatal(err)
+			var out, errb bytes.Buffer
+			if code := run(c.args, &out, &errb); code != 0 {
+				t.Fatalf("grass-sim %v exited %d: %s", c.args, code, errb.String())
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
 			if err != nil {
@@ -42,16 +47,46 @@ func TestGolden(t *testing.T) {
 }
 
 // TestRejectsUnknownNames: bad policy, workload, framework and bound names
-// are reported as errors, not panics or silent defaults.
+// are reported as errors, not panics or silent defaults. A bad enum value
+// is a command-line error (exit 2, naming the flag); an unknown policy
+// fails the run (exit 1).
 func TestRejectsUnknownNames(t *testing.T) {
-	for _, args := range [][]string{
-		{"-policy", "nope"},
-		{"-workload", "nope"},
-		{"-framework", "nope"},
-		{"-bound", "nope"},
+	for _, c := range []struct {
+		args string
+		code int
+		msg  string
+	}{
+		{"-policy nope -jobs 2", 1, "unknown policy"},
+		{"-workload nope -jobs 2", 2, "-workload"},
+		{"-framework nope -jobs 2", 2, "-framework"},
+		{"-bound nope -jobs 2", 2, "-bound"},
+		{"-nosuchflag", 2, "-nosuchflag"},
+		{"-jobs 0", 1, "0 jobs"},
 	} {
-		if err := run(append(args, "-jobs", "2"), new(bytes.Buffer)); err == nil {
-			t.Errorf("grass-sim %v: no error", args)
+		var errb bytes.Buffer
+		code := run(strings.Fields(c.args), new(bytes.Buffer), &errb)
+		if code != c.code || !strings.Contains(errb.String(), c.msg) {
+			t.Errorf("grass-sim %s: exit %d, stderr %q; want exit %d mentioning %q", c.args, code, errb.String(), c.code, c.msg)
 		}
+	}
+}
+
+// TestFlagSurface diffs every flag's name and default against
+// testdata/flags.golden, captured from the command's flag surface before
+// its flags were rebound to typed fields: no flag added, removed or
+// re-defaulted without the golden saying so.
+func TestFlagSurface(t *testing.T) {
+	fs, _, _ := newFlags(io.Discard)
+	var b strings.Builder
+	b.WriteString("[grass-sim]\n")
+	fs.VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(&b, "-%s %s\n", f.Name, strconv.Quote(f.DefValue))
+	})
+	want, err := os.ReadFile(filepath.Join("testdata", "flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("flag surface changed:\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

@@ -24,8 +24,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/approx-analytics/grass/internal/task"
@@ -34,118 +36,117 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "convert", "validate", "stat":
-			if err := runImport(os.Args[1], os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "grass-trace:", err)
-				os.Exit(1)
-			}
-			return
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// A command declares its flags on fs and returns the function that runs
+// it once they are parsed.
+type command func(fs *flag.FlagSet, stdout, stderr io.Writer) func() error
+
+// run dispatches to a trace-import subcommand or to synthetic generation
+// and returns the exit status: 2 for a command-line error, 1 for a failed
+// run. Each subcommand has its own FlagSet, so import flags never collide
+// with the synthetic generator's.
+func run(args []string, stdout, stderr io.Writer) int {
+	name, cmd := "grass-trace", command(synthetic)
+	if len(args) > 0 && (args[0] == "convert" || args[0] == "validate" || args[0] == "stat") {
+		name, cmd, args = name+" "+args[0], importer(args[0]), args[1:]
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exec := cmd(fs, stdout, stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	var (
-		workload  = flag.String("workload", "facebook", "facebook | bing")
-		framework = flag.String("framework", "hadoop", "hadoop | spark")
-		bound     = flag.String("bound", "deadline", "deadline | error | exact | mixed")
-		jobs      = flag.Int("jobs", 100, "number of jobs")
-		slots     = flag.Int("slots", 400, "cluster slots (calibration)")
-		load      = flag.Float64("load", 1.0, "offered load")
-		dag       = flag.Int("dag", 1, "DAG length")
-		seed      = flag.Int64("seed", 1, "seed")
-		asJSON    = flag.Bool("json", false, "emit the full trace as JSON")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "grass-trace: unknown subcommand %q (want convert | validate | stat, or flags only for synthetic generation)\n", flag.Arg(0))
-		os.Exit(1)
+	if err := exec(); err != nil {
+		fmt.Fprintln(stderr, "grass-trace:", err)
+		return 1
 	}
-	if err := run(*workload, *framework, *bound, *jobs, *slots, *load, *dag, *seed, *asJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "grass-trace:", err)
-		os.Exit(1)
+	return 0
+}
+
+// importer is one trace-import subcommand (convert/validate/stat), its
+// flags bound straight into the record→job mapping options.
+func importer(cmd string) command {
+	return func(fs *flag.FlagSet, stdout, stderr io.Writer) func() error {
+		var (
+			f         traceio.Format
+			formatSet bool
+			o         = traceio.DefaultOptions()
+		)
+		// -format has no default: a missing format is an error, not swim.
+		fs.Func("format", "trace file format: swim | google (required)", func(s string) error {
+			formatSet = true
+			return f.UnmarshalText([]byte(s))
+		})
+		in := fs.String("in", "", "input trace file, .gz transparently decompressed (required)")
+		out := fs.String("out", "", "convert: output JSON file (default stdout)")
+		fs.Float64Var(&o.BytesPerTask, "bytes-per-task", 128<<20, "input bytes per map task (the HDFS split size)")
+		fs.Float64Var(&o.WorkScale, "work-scale", 10, "intrinsic work of one full task, simulation units")
+		fs.Float64Var(&o.TimeScale, "time-scale", 0, "trace time units to simulation units (0 = format default: SWIM seconds 1:1, Google microseconds 1e-6)")
+		fs.TextVar(&o.Bound, "bound", trace.MixedBound, "bound assignment for imported jobs: mixed | deadline | error | exact")
+		fs.IntVar(&o.Slots, "slots", 400, "cluster slots used to calibrate assigned deadlines")
+		fs.Int64Var(&o.Seed, "seed", 1, "bound-assignment seed")
+		fs.IntVar(&o.MaxTasks, "max-tasks", 100_000, "reject records mapping to more tasks than this")
+		return func() error {
+			if fs.NArg() > 0 {
+				return fmt.Errorf("%s: unexpected argument %q (all inputs are flags)", cmd, fs.Arg(0))
+			}
+			if *in == "" {
+				return fmt.Errorf("%s: -in is required (the trace file to read)", cmd)
+			}
+			if !formatSet {
+				return fmt.Errorf("%s: -format is required (swim | google)", cmd)
+			}
+			if _, err := os.Stat(*in); err != nil {
+				return fmt.Errorf("%s: %w (give a readable trace file)", cmd, err)
+			}
+			if err := o.Validate(); err != nil {
+				return err
+			}
+			return runImport(cmd, f, o, *in, *out, stdout, stderr)
+		}
 	}
 }
 
-// runImport executes one trace-import subcommand (convert/validate/stat)
-// with its own flag set, so import flags never collide with the synthetic
-// generator's.
-func runImport(cmd string, args []string) error {
-	fs := flag.NewFlagSet("grass-trace "+cmd, flag.ExitOnError)
-	var (
-		format       = fs.String("format", "", "trace file format: swim | google (required)")
-		in           = fs.String("in", "", "input trace file, .gz transparently decompressed (required)")
-		out          = fs.String("out", "", "convert: output JSON file (default stdout)")
-		bytesPerTask = fs.Float64("bytes-per-task", 128<<20, "input bytes per map task (the HDFS split size)")
-		workScale    = fs.Float64("work-scale", 10, "intrinsic work of one full task, simulation units")
-		timeScale    = fs.Float64("time-scale", 0, "trace time units to simulation units (0 = format default: SWIM seconds 1:1, Google microseconds 1e-6)")
-		boundMode    = fs.String("bound", "mixed", "bound assignment for imported jobs: mixed | deadline | error | exact")
-		slots        = fs.Int("slots", 400, "cluster slots used to calibrate assigned deadlines")
-		seed         = fs.Int64("seed", 1, "bound-assignment seed")
-		maxTasks     = fs.Int("max-tasks", 100_000, "reject records mapping to more tasks than this")
-	)
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		return fmt.Errorf("%s: unexpected argument %q (all inputs are flags)", cmd, fs.Arg(0))
-	}
-	if *in == "" {
-		return fmt.Errorf("%s: -in is required (the trace file to read)", cmd)
-	}
-	if *format == "" {
-		return fmt.Errorf("%s: -format is required (swim | google)", cmd)
-	}
-	f, err := traceio.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stat(*in); err != nil {
-		return fmt.Errorf("%s: %w (give a readable trace file)", cmd, err)
-	}
-	o := traceio.DefaultOptions()
-	o.BytesPerTask = *bytesPerTask
-	o.WorkScale = *workScale
-	o.TimeScale = *timeScale
-	o.Slots = *slots
-	o.Seed = *seed
-	o.MaxTasks = *maxTasks
-	if o.Bound, err = trace.ParseBound(*boundMode); err != nil {
-		return err
-	}
-	if err := o.Validate(); err != nil {
-		return err
-	}
-
+// runImport executes one validated trace-import subcommand.
+func runImport(cmd string, f traceio.Format, o traceio.Options, in, out string, stdout, stderr io.Writer) error {
 	switch cmd {
 	case "validate", "stat":
-		st, err := traceio.Scan(nil, *in, f, o)
+		st, err := traceio.Scan(nil, in, f, o)
 		if err != nil {
 			return err
 		}
 		if st.Jobs == 0 {
-			return fmt.Errorf("%s: %s contains no jobs (empty or comment-only trace)", cmd, *in)
+			return fmt.Errorf("%s: %s contains no jobs (empty or comment-only trace)", cmd, in)
 		}
 		if cmd == "validate" {
-			fmt.Printf("%s: OK: %d jobs, %d tasks\n", *in, st.Jobs, st.Tasks)
+			fmt.Fprintf(stdout, "%s: OK: %d jobs, %d tasks\n", in, st.Jobs, st.Tasks)
 			return nil
 		}
-		fmt.Printf("format=%s jobs=%d tasks=%d meanTasks=%.1f span=%.1f totalWork=%.0f reduceJobs=%d\n",
+		fmt.Fprintf(stdout, "format=%s jobs=%d tasks=%d meanTasks=%.1f span=%.1f totalWork=%.0f reduceJobs=%d\n",
 			f, st.Jobs, st.Tasks, st.MeanTasks, st.Span, st.TotalWork, st.Phases)
 		for i, bin := range task.AllBins {
-			fmt.Printf("  bin %-8s %d jobs\n", bin, st.Bins[i])
+			fmt.Fprintf(stdout, "  bin %-8s %d jobs\n", bin, st.Bins[i])
 		}
 		return nil
 	case "convert":
-		src, err := traceio.NewSource(nil, *in, f, o)
+		src, err := traceio.NewSource(nil, in, f, o)
 		if err != nil {
 			return err
 		}
 		defer src.Close()
-		w := os.Stdout
-		if *out != "" {
-			w, err = os.Create(*out)
+		w := stdout
+		if out != "" {
+			file, err := os.Create(out)
 			if err != nil {
 				return err
 			}
-			defer w.Close()
+			defer file.Close()
+			w = file
 		}
 		n, err := traceio.WriteJobsJSON(w, src)
 		if err != nil {
@@ -155,62 +156,63 @@ func runImport(cmd string, args []string) error {
 			return serr
 		}
 		if n == 0 {
-			return fmt.Errorf("convert: %s contains no jobs (empty or comment-only trace)", *in)
+			return fmt.Errorf("convert: %s contains no jobs (empty or comment-only trace)", in)
 		}
-		fmt.Fprintf(os.Stderr, "converted %d jobs\n", n)
+		fmt.Fprintf(stderr, "converted %d jobs\n", n)
 		return nil
 	}
 	return fmt.Errorf("unknown subcommand %q", cmd)
 }
 
-func run(workload, framework, bound string, jobs, slots int, load float64, dag int, seed int64, asJSON bool) error {
-	w, err := trace.ParseWorkload(workload)
-	if err != nil {
-		return err
-	}
-	f, err := trace.ParseFramework(framework)
-	if err != nil {
-		return err
-	}
-	b, err := trace.ParseBound(bound)
-	if err != nil {
-		return err
-	}
-	cfg := trace.DefaultConfig(w, f, b)
-	cfg.Jobs = jobs
-	cfg.Slots = slots
-	cfg.Load = load
-	cfg.Seed = seed
-	if dag > 1 {
-		cfg.DAGLength = dag
-	}
-	jl, err := trace.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(jl)
-	}
-	st := trace.Summarize(cfg, jl)
-	fmt.Printf("workload=%s framework=%s bound=%s jobs=%d tasks=%d meanTasks=%.1f span=%.1f\n",
-		st.Workload, st.Framework, bound, st.Jobs, st.TotalTasks, st.MeanTasks, st.Span)
-	for _, bin := range task.AllBins {
-		fmt.Printf("  bin %-8s %d jobs\n", bin, st.BinCounts[bin])
-	}
-	fmt.Printf("%-6s %10s %8s %6s %12s %10s\n", "job", "arrival", "tasks", "dag", "bound", "value")
-	for i, j := range jl {
-		if i >= 15 {
-			fmt.Printf("... (%d more)\n", len(jl)-15)
-			break
+// synthetic is synthetic generation, its flags bound straight into the
+// trace configuration: the workload's summary and job listing, or the
+// whole trace as JSON.
+func synthetic(fs *flag.FlagSet, stdout, _ io.Writer) func() error {
+	cfg := trace.DefaultConfig(trace.Facebook, trace.Hadoop, trace.DeadlineBound)
+	fs.TextVar(&cfg.Workload, "workload", trace.Facebook, "facebook | bing")
+	fs.TextVar(&cfg.Framework, "framework", trace.Hadoop, "hadoop | spark")
+	fs.TextVar(&cfg.Bound, "bound", trace.DeadlineBound, "deadline | error | exact | mixed")
+	fs.IntVar(&cfg.Jobs, "jobs", 100, "number of jobs")
+	fs.IntVar(&cfg.Slots, "slots", 400, "cluster slots (calibration)")
+	fs.Float64Var(&cfg.Load, "load", 1.0, "offered load")
+	dag := fs.Int("dag", 1, "DAG length")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "seed")
+	asJSON := fs.Bool("json", false, "emit the full trace as JSON")
+	return func() error {
+		if fs.NArg() > 0 {
+			return fmt.Errorf("unknown subcommand %q (want convert | validate | stat, or flags only for synthetic generation)", fs.Arg(0))
 		}
-		val := j.Bound.Deadline
-		if j.Bound.Kind == task.ErrorBound {
-			val = j.Bound.Epsilon
+		if *dag > 1 {
+			cfg.DAGLength = *dag
 		}
-		fmt.Printf("%-6d %10.2f %8d %6d %12s %10.3f\n",
-			j.ID, j.Arrival, j.NumTasks(), j.DAGLength(), j.Bound.Kind, val)
+		jl, err := trace.Generate(cfg)
+		if err != nil {
+			return err
+		}
+		if *asJSON {
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			return enc.Encode(jl)
+		}
+		st := trace.Summarize(cfg, jl)
+		fmt.Fprintf(stdout, "workload=%s framework=%s bound=%s jobs=%d tasks=%d meanTasks=%.1f span=%.1f\n",
+			st.Workload, st.Framework, cfg.Bound, st.Jobs, st.TotalTasks, st.MeanTasks, st.Span)
+		for _, bin := range task.AllBins {
+			fmt.Fprintf(stdout, "  bin %-8s %d jobs\n", bin, st.BinCounts[bin])
+		}
+		fmt.Fprintf(stdout, "%-6s %10s %8s %6s %12s %10s\n", "job", "arrival", "tasks", "dag", "bound", "value")
+		for i, j := range jl {
+			if i >= 15 {
+				fmt.Fprintf(stdout, "... (%d more)\n", len(jl)-15)
+				break
+			}
+			val := j.Bound.Deadline
+			if j.Bound.Kind == task.ErrorBound {
+				val = j.Bound.Epsilon
+			}
+			fmt.Fprintf(stdout, "%-6d %10.2f %8d %6d %12s %10.3f\n",
+				j.ID, j.Arrival, j.NumTasks(), j.DAGLength(), j.Bound.Kind, val)
+		}
+		return nil
 	}
-	return nil
 }

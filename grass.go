@@ -154,11 +154,11 @@ func FaultScenarios() []string { return fault.Scenarios() }
 // any shard count at a fixed partition count.
 func WithFaults(fc FaultConfig) SimOption { return func(o *simOptions) { o.faults = &fc } }
 
-// NewPolicy resolves a policy name to a factory. The boolean result
-// reports whether the policy needs oracle mode (ground-truth task views);
-// set SimConfig.Oracle accordingly (SimulateJobs does this for you).
-func NewPolicy(name string, seed int64) (PolicyFactory, bool, error) {
-	return exp.NewFactory(name, seed)
+// NewPolicy resolves a policy name to a factory. The "oracle" factory
+// carries its own ground-truth view mode, so it runs the same under a
+// named policy and under WithFactory.
+func NewPolicy(name string, seed int64) (PolicyFactory, error) {
+	return exp.RunSpec{Policy: name}.Factory(seed)
 }
 
 // NewGrassPolicy builds a GRASS factory with a custom configuration
@@ -235,10 +235,10 @@ func WithFold(fn func(JobResult)) SimOption { return func(o *simOptions) { o.fol
 func WithContext(ctx context.Context) SimOption { return func(o *simOptions) { o.ctx = ctx } }
 
 // WithFactory runs the simulation under a custom policy factory instead of
-// a named policy; the policy-name argument is ignored (pass ""). Oracle
-// mode is NOT inferred — set SimConfig.Oracle yourself if the factory
-// needs ground-truth views. Not supported by SimulateTrace, whose
-// partitioned model must re-derive per-partition factories from seeds.
+// a named policy; the policy-name argument is ignored (pass ""). A factory
+// whose policies need ground-truth views says so itself (NewPolicy's
+// "oracle" does). Not supported by SimulateTrace, whose partitioned model
+// must re-derive per-partition factories from seeds.
 func WithFactory(f PolicyFactory) SimOption { return func(o *simOptions) { o.factory = f } }
 
 // SimulateTrace generates cfg's synthetic workload lazily and simulates
@@ -268,19 +268,11 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 	if err := tc.Validate(); err != nil {
 		return nil, err
 	}
-	_, oracleMode, err := exp.NewFactory(policy, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sc.Oracle = oracleMode
 	run := sched.ShardedRun{
-		Config:  sc,
-		Parts:   o.partitions,
-		Workers: o.shards,
-		NewFactory: func(seed int64) (PolicyFactory, error) {
-			f, _, err := exp.NewFactory(policy, seed)
-			return f, err
-		},
+		Config:     sc,
+		Parts:      o.partitions,
+		Workers:    o.shards,
+		NewFactory: exp.RunSpec{Policy: policy}.Factory,
 		NewSource: func(p int) (JobSource, error) {
 			return trace.NewShardStream(tc, p, o.partitions)
 		},
@@ -294,11 +286,9 @@ func SimulateTrace(sc SimConfig, tc TraceConfig, policy string, opts ...SimOptio
 }
 
 // SimulateJobs runs a materialized trace through the cluster simulator
-// under the named policy. Oracle mode is enabled automatically for the
-// "oracle" policy (unless WithFactory overrides the policy). Supports
-// WithFold, WithContext and WithFactory; sharded execution (WithShards /
-// WithPartitions) requires SimulateTrace, whose partitioner splits the
-// trace by construction.
+// under the named policy. Supports WithFold, WithContext and WithFactory;
+// sharded execution (WithShards / WithPartitions) requires SimulateTrace,
+// whose partitioner splits the trace by construction.
 func SimulateJobs(cfg SimConfig, policy string, jobs []*Job, opts ...SimOption) (*RunStats, error) {
 	o, err := collectUnshardedOptions("SimulateJobs", opts)
 	if err != nil {
@@ -339,21 +329,19 @@ func collectUnshardedOptions(entry string, opts []SimOption) (simOptions, error)
 // runSim is the single execution core behind both non-partitioned entry
 // points — SimulateJobs and SimulateSource land here, so the materialized
 // and streamed paths cannot drift. Exactly one of jobs and src must be
-// set. With o.factory nil the policy name is resolved (enabling oracle
-// mode when the policy needs ground truth); otherwise the factory is used
-// as given.
+// set. With o.factory nil the policy name is resolved; otherwise the
+// factory is used as given.
 func runSim(cfg SimConfig, policy string, jobs []*Job, src JobSource, o simOptions) (*RunStats, error) {
 	if o.faults != nil {
 		cfg.Faults = *o.faults
 	}
 	factory := o.factory
 	if factory == nil {
-		f, oracleMode, err := exp.NewFactory(policy, cfg.Seed)
+		f, err := NewPolicy(policy, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		factory = f
-		cfg.Oracle = oracleMode
 	}
 	sim, err := sched.New(cfg, factory)
 	if err != nil {
@@ -411,18 +399,14 @@ var ErrServeClosed = serve.ErrClosed
 // runs. Virtual-time results are deterministic — a trace-timed serve run
 // of a trace is byte-identical to replaying it — and cfg.Ctx cancels the
 // whole service. If cfg.NewFactory is already set, the policy name is
-// ignored (set cfg.Sim.Oracle yourself in that case).
+// ignored; a factory that needs ground-truth views says so itself.
 func Serve(cfg ServeConfig, policy string) (*Server, error) {
 	if cfg.NewFactory == nil {
-		_, oracleMode, err := exp.NewFactory(policy, cfg.Sim.Seed)
-		if err != nil {
+		named := exp.RunSpec{Policy: policy}
+		if _, err := named.Factory(cfg.Sim.Seed); err != nil {
 			return nil, err
 		}
-		cfg.Sim.Oracle = oracleMode
-		cfg.NewFactory = func(seed int64) (PolicyFactory, error) {
-			f, _, err := exp.NewFactory(policy, seed)
-			return f, err
-		}
+		cfg.NewFactory = named.Factory
 	}
 	return serve.New(cfg)
 }
@@ -482,7 +466,11 @@ const (
 )
 
 // ParseTraceFormat maps a flag value ("swim" | "google") to a TraceFormat.
-func ParseTraceFormat(s string) (TraceFormat, error) { return traceio.ParseFormat(s) }
+func ParseTraceFormat(s string) (TraceFormat, error) {
+	var f TraceFormat
+	err := f.UnmarshalText([]byte(s))
+	return f, err
+}
 
 // DefaultImportOptions returns the documented default record→job mapping
 // (128 MiB splits, §6.1-style mixed bounds).

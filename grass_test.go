@@ -124,6 +124,29 @@ func TestOraclePolicyAutoMode(t *testing.T) {
 	}
 }
 
+// TestOracleWithFactory: the oracle's factory carries its ground-truth view
+// mode, so passing NewPolicy("oracle") through WithFactory runs exactly the
+// named "oracle" simulation, not the oracle on estimated views.
+func TestOracleWithFactory(t *testing.T) {
+	jobs, _ := grass.GenerateTrace(smallTrace(grass.ErrorBound, 3))
+	named, err := grass.SimulateJobs(smallSim(3), "oracle", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := grass.NewPolicy("oracle", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _ = grass.GenerateTrace(smallTrace(grass.ErrorBound, 3))
+	custom, err := grass.SimulateJobs(smallSim(3), "", jobs, grass.WithFactory(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(named, custom) {
+		t.Fatalf("WithFactory(oracle) diverged from the named oracle run:\nnamed:  %+v\ncustom: %+v", named, custom)
+	}
+}
+
 func TestCustomGrassPolicy(t *testing.T) {
 	cfg := grass.DefaultGrassConfig()
 	cfg.Xi = 0.3

@@ -25,7 +25,7 @@ const (
 	LearnerSketch
 )
 
-// String names the kind the way ParseLearnerKind accepts it.
+// String names the kind the way UnmarshalText accepts it.
 func (k LearnerKind) String() string {
 	switch k {
 	case LearnerRing:
@@ -37,17 +37,20 @@ func (k LearnerKind) String() string {
 	}
 }
 
-// ParseLearnerKind resolves a learner name: "ring" (or empty) and
-// "sketch".
-func ParseLearnerKind(s string) (LearnerKind, error) {
-	switch s {
+// MarshalText returns the kind's name.
+func (k LearnerKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText resolves a learner name: "ring" (or empty) and "sketch".
+func (k *LearnerKind) UnmarshalText(b []byte) error {
+	switch string(b) {
 	case "", "ring":
-		return LearnerRing, nil
+		*k = LearnerRing
 	case "sketch":
-		return LearnerSketch, nil
+		*k = LearnerSketch
 	default:
-		return 0, fmt.Errorf("core: unknown learner %q (want ring or sketch)", s)
+		return fmt.Errorf("core: unknown learner %q (want ring or sketch)", b)
 	}
+	return nil
 }
 
 // sketchGridN is the fraction grid the sketch learner summarizes

@@ -14,16 +14,17 @@ func TestParseLearnerKind(t *testing.T) {
 		in   string
 		want LearnerKind
 	}{{"", LearnerRing}, {"ring", LearnerRing}, {"sketch", LearnerSketch}} {
-		got, err := ParseLearnerKind(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseLearnerKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		var got LearnerKind
+		if err := got.UnmarshalText([]byte(tc.in)); err != nil || got != tc.want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
-		if got.String() == "" {
-			t.Errorf("LearnerKind(%v).String() empty", got)
+		if b, _ := got.MarshalText(); string(b) != got.String() || got.String() == "" {
+			t.Errorf("LearnerKind(%v) text form %q", got, b)
 		}
 	}
-	if _, err := ParseLearnerKind("bogus"); err == nil {
-		t.Error("ParseLearnerKind must reject unknown names")
+	var k LearnerKind
+	if err := k.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("UnmarshalText must reject unknown names")
 	}
 }
 

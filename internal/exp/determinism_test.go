@@ -73,8 +73,8 @@ func TestForEachErrorDeterministic(t *testing.T) {
 	bogus := tiny()
 	bogus.Workers = 4
 	bogus.Seeds = []int64{1, 2, 3, 4}
-	failing := policySpec{name: "failing", make: func(seed int64) (spec.Factory, bool, error) {
-		return nil, false, fmt.Errorf("boom seed %d", seed)
+	failing := policySpec{name: "failing", make: func(seed int64) (spec.Factory, error) {
+		return nil, fmt.Errorf("boom seed %d", seed)
 	}}
 	// The failing policy is first, so grid index 0 = (failing, seed 1) must
 	// always win even when a later cell fails earlier in wall-clock time.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/approx-analytics/grass/internal/core"
+	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -26,19 +28,23 @@ func TestNewFactoryNames(t *testing.T) {
 		"grass-best2acc", "gs", "ras", "late", "mantri", "nospec", "oracle",
 	}
 	for _, n := range names {
-		f, oracleMode, err := NewFactory(n, 1)
+		f, err := NewFactory(n, 1, core.LearnerRing)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
 		if f == nil {
 			t.Fatalf("%s: nil factory", n)
 		}
-		if (n == "oracle") != oracleMode {
-			t.Fatalf("%s: oracle mode %v", n, oracleMode)
+		// Only the oracle's factory asks for ground-truth views.
+		if (n == "oracle") != spec.GroundTruth(f) {
+			t.Fatalf("%s: ground truth %v", n, spec.GroundTruth(f))
 		}
 	}
-	if _, _, err := NewFactory("bogus", 1); err == nil {
+	if _, err := NewFactory("bogus", 1, core.LearnerRing); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+	if _, err := NewFactory("gs", 1, core.LearnerKind(9)); err == nil {
+		t.Fatal("unknown learner accepted")
 	}
 }
 
@@ -49,14 +55,20 @@ func TestConfigsDiffer(t *testing.T) {
 		t.Fatal("Quick should be smaller than Default")
 	}
 	// Spark gets extra estimator noise.
-	h := c.SchedConfig(trace.Hadoop, 1, false)
-	s := c.SchedConfig(trace.Spark, 1, false)
+	h, err := c.cell(trace.Facebook, trace.Hadoop, trace.ErrorBound, 1).SchedConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.cell(trace.Facebook, trace.Spark, trace.ErrorBound, 1).SchedConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Estimator.TRemNoise <= h.Estimator.TRemNoise {
 		t.Fatal("Spark should have noisier estimates")
 	}
 	// Bound mode selects the load.
-	dl := c.TraceConfig(trace.Facebook, trace.Hadoop, trace.DeadlineBound, 1)
-	er := c.TraceConfig(trace.Facebook, trace.Hadoop, trace.ErrorBound, 1)
+	dl := c.cell(trace.Facebook, trace.Hadoop, trace.DeadlineBound, 1).TraceConfig()
+	er := c.cell(trace.Facebook, trace.Hadoop, trace.ErrorBound, 1).TraceConfig()
 	if dl.Load <= er.Load {
 		t.Fatal("deadline traces should run at higher offered load")
 	}

@@ -17,23 +17,22 @@ import (
 // policySpec names a policy and knows how to build it per seed.
 type policySpec struct {
 	name string
-	make func(seed int64) (spec.Factory, bool, error)
+	make func(seed int64) (spec.Factory, error)
 }
 
 func named(n string) policySpec {
-	return policySpec{name: n, make: func(seed int64) (spec.Factory, bool, error) {
-		return NewFactory(n, seed)
+	return policySpec{name: n, make: func(seed int64) (spec.Factory, error) {
+		return NewFactory(n, seed, core.LearnerRing)
 	}}
 }
 
 func grassWithXi(xi float64) policySpec {
 	name := fmt.Sprintf("grass-xi%02.0f", xi*100)
-	return policySpec{name: name, make: func(seed int64) (spec.Factory, bool, error) {
+	return policySpec{name: name, make: func(seed int64) (spec.Factory, error) {
 		c := core.DefaultConfig()
 		c.Xi = xi
 		c.Seed = seed
-		f, err := core.New(c)
-		return f, false, err
+		return core.New(c)
 	}}
 }
 
@@ -74,32 +73,11 @@ func (c Config) runScenarios(scs []scenario) ([]runSet, error) {
 		off := idx - starts[si]
 		p := sc.policies[off/nSeeds]
 		seed := c.Seeds[off%nSeeds]
-		tc := c.TraceConfig(sc.w, sc.fw, sc.b, seed)
-		if sc.dag > 1 {
-			tc.DAGLength = sc.dag
-		}
-		// Stream the trace instead of materializing it: RunSource pulls one
-		// job per arrival and recycles finished jobs through the stream's
-		// pool, so a worker's footprint tracks the jobs in flight. The
-		// results are identical to the materializing path (the golden tests
-		// pin that).
-		stream, err := trace.NewStream(tc)
+		factory, err := p.make(seed)
 		if err != nil {
 			return err
 		}
-		factory, oracleMode, err := p.make(seed)
-		if err != nil {
-			return err
-		}
-		scfg := c.SchedConfig(sc.fw, seed, oracleMode)
-		if sc.mutate != nil {
-			sc.mutate(&scfg)
-		}
-		sim, err := sched.New(scfg, factory)
-		if err != nil {
-			return err
-		}
-		stats, err := sim.RunSource(stream)
+		stats, err := c.cell(sc.w, sc.fw, sc.b, seed).Simulate(factory, sc.dag, sc.mutate)
 		if err != nil {
 			return fmt.Errorf("%s/%s/%s seed %d: %w", sc.w, sc.fw, p.name, seed, err)
 		}
@@ -174,7 +152,7 @@ func Table1(cfg Config) (*Table, error) {
 		Columns: []string{"jobs", "tasks", "mean", "<50", "51-500", ">500"},
 	}
 	for _, w := range []trace.Workload{trace.Facebook, trace.Bing} {
-		tc := cfg.TraceConfig(w, trace.Hadoop, trace.ErrorBound, cfg.Seeds[0])
+		tc := cfg.cell(w, trace.Hadoop, trace.ErrorBound, cfg.Seeds[0]).TraceConfig()
 		jobs, err := trace.Generate(tc)
 		if err != nil {
 			return nil, err

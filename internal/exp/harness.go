@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"github.com/approx-analytics/grass/internal/core"
+	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/oracle"
 	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/spec"
@@ -61,97 +62,125 @@ func Quick() Config {
 	return c
 }
 
-// NewFactory resolves a policy name to its factory. The boolean result
-// requests oracle mode (ground-truth task views) from the simulator.
+// grassVariants tunes core.DefaultConfig into each GRASS policy name.
+var grassVariants = map[string]func(*core.Config){
+	"grass":           func(*core.Config) {},
+	"grass-strawman":  func(c *core.Config) { c.Strawman = true },
+	"grass-best1":     func(c *core.Config) { c.Factors = core.FactorSet{} },
+	"grass-best2util": func(c *core.Config) { c.Factors = core.FactorSet{Utilization: true} },
+	"grass-best2acc":  func(c *core.Config) { c.Factors = core.FactorSet{Accuracy: true} },
+}
+
+// NewFactory resolves a policy name to its factory — the one resolver
+// behind every entry point. learner selects the GRASS learner (the
+// per-partition ring store, or the sketch store whose state folds across
+// partitions); other policies ignore it. The oracle's factory asks for
+// ground-truth views itself (spec.GroundTruthFactory).
 // Names: grass, grass-strawman, grass-best1, grass-best2util,
 // grass-best2acc, gs, ras, late, mantri, nospec, oracle.
-func NewFactory(name string, seed int64) (spec.Factory, bool, error) {
-	return NewFactoryLearner(name, seed, core.LearnerRing)
-}
-
-// NewFactoryLearner is NewFactory with the GRASS learner implementation
-// selected: core.LearnerRing is the default per-partition ring store,
-// core.LearnerSketch the mergeable store whose state folds across
-// partitions (and is required for LearnEpochs > 1 replays). Non-GRASS
-// policy names ignore the learner.
-func NewFactoryLearner(name string, seed int64, learner core.LearnerKind) (spec.Factory, bool, error) {
-	mk := func(cfg core.Config) (spec.Factory, bool, error) {
-		cfg.Seed = seed
-		cfg.Learner = learner
-		f, err := core.New(cfg)
-		return f, false, err
+func NewFactory(name string, seed int64, learner core.LearnerKind) (spec.Factory, error) {
+	if learner > core.LearnerSketch {
+		return nil, fmt.Errorf("exp: unknown learner %v", learner)
 	}
-	switch strings.ToLower(name) {
-	case "grass":
-		return mk(core.DefaultConfig())
-	case "grass-strawman":
+	key := strings.ToLower(name)
+	if tune, ok := grassVariants[key]; ok {
 		c := core.DefaultConfig()
-		c.Strawman = true
-		return mk(c)
-	case "grass-best1":
-		c := core.DefaultConfig()
-		c.Factors = core.FactorSet{}
-		return mk(c)
-	case "grass-best2util":
-		c := core.DefaultConfig()
-		c.Factors = core.FactorSet{Utilization: true}
-		return mk(c)
-	case "grass-best2acc":
-		c := core.DefaultConfig()
-		c.Factors = core.FactorSet{Accuracy: true}
-		return mk(c)
+		tune(&c)
+		c.Seed, c.Learner = seed, learner
+		return core.New(c)
+	}
+	switch key {
 	case "gs":
-		return spec.Stateless(spec.NewGS()), false, nil
+		return spec.Stateless(spec.NewGS()), nil
 	case "ras":
-		return spec.Stateless(spec.NewRAS()), false, nil
+		return spec.Stateless(spec.NewRAS()), nil
 	case "late":
-		return spec.Stateless(spec.NewLATE()), false, nil
+		return spec.Stateless(spec.NewLATE()), nil
 	case "mantri":
-		return spec.Stateless(spec.NewMantri()), false, nil
+		return spec.Stateless(spec.NewMantri()), nil
 	case "nospec":
-		return spec.Stateless(spec.NoSpec{}), false, nil
+		return spec.Stateless(spec.NoSpec{}), nil
 	case "oracle":
-		return oracle.New(), true, nil
-	default:
-		return nil, false, fmt.Errorf("exp: unknown policy %q", name)
+		return oracle.New(), nil
 	}
+	return nil, fmt.Errorf("exp: unknown policy %q", name)
 }
 
-// SchedConfig builds the simulator configuration for a framework regime.
-// Spark's much shorter tasks make them "more sensitive to estimation
-// errors" (§6.3.2), modelled as extra estimator noise.
-func (c Config) SchedConfig(fw trace.Framework, seed int64, oracleMode bool) sched.Config {
+// RunSpec is one simulation run's typed description, and the one place it
+// resolves into a simulator configuration, a trace configuration and a
+// per-seed policy factory, so every entry point pairs them the same way.
+type RunSpec struct {
+	// Policy names the speculation policy (NewFactory's set); Learner the
+	// GRASS learner, which non-GRASS policies ignore.
+	Policy  string
+	Learner core.LearnerKind
+	// Workload, Framework and Bound select the synthetic trace; Framework
+	// also selects the estimator-noise regime. Jobs is the trace length,
+	// Load the offered load.
+	Workload  trace.Workload
+	Framework trace.Framework
+	Bound     trace.BoundMode
+	Jobs      int
+	Load      float64
+	// Machines and SlotsPerMachine size the cluster; Seed drives the trace
+	// and the simulator.
+	Machines, SlotsPerMachine int
+	Seed                      int64
+	// Scenario names a fault preset (fault.Scenarios; "" and "none" are a
+	// benign cluster, byte-identical to a build without fault support).
+	// FaultSeed, when non-zero, pins the fault timeline independently of
+	// Seed; 0 derives it from Seed.
+	Scenario  string
+	FaultSeed int64
+}
+
+// SchedConfig builds the simulator configuration: cluster size, seed,
+// fault schedule and the framework's estimator noise. Spark's much shorter
+// tasks make them "more sensitive to estimation errors" (§6.3.2),
+// modelled as extra estimator noise.
+func (r RunSpec) SchedConfig() (sched.Config, error) {
 	s := sched.DefaultConfig()
-	s.Cluster.Machines = c.Machines
-	s.Cluster.SlotsPerMachine = c.SlotsPerMachine
-	s.Seed = seed
-	s.Oracle = oracleMode
-	if fw == trace.Spark {
+	s.Cluster.Machines = r.Machines
+	s.Cluster.SlotsPerMachine = r.SlotsPerMachine
+	s.Seed = r.Seed
+	if r.Framework == trace.Spark {
 		s.Estimator.TRemNoise = 0.5
 		s.Estimator.TNewNoise = 0.25
 	}
-	return s
+	fc, err := fault.Scenario(r.Scenario)
+	if err != nil {
+		return s, err
+	}
+	if r.FaultSeed != 0 {
+		fc.Seed = r.FaultSeed
+	}
+	s.Faults = fc
+	return s, nil
 }
 
-// TraceConfig builds the workload configuration for one scenario.
-func (c Config) TraceConfig(w trace.Workload, fw trace.Framework, b trace.BoundMode, seed int64) trace.Config {
-	tc := trace.DefaultConfig(w, fw, b)
-	tc.Jobs = c.Jobs
-	tc.Seed = seed
-	tc.Slots = c.Machines * c.SlotsPerMachine
-	if b == trace.DeadlineBound {
-		tc.Load = c.DeadlineLoad
-	} else {
-		tc.Load = c.ErrorLoad
-	}
+// TraceConfig builds the synthetic workload configuration.
+func (r RunSpec) TraceConfig() trace.Config {
+	tc := trace.DefaultConfig(r.Workload, r.Framework, r.Bound)
+	tc.Jobs = r.Jobs
+	tc.Seed = r.Seed
+	tc.Slots = r.Machines * r.SlotsPerMachine
+	tc.Load = r.Load
 	return tc
 }
 
-// Run simulates one (workload, framework, bound, policy, seed) cell and
-// returns its results. The trace is streamed into the simulator — identical
-// results to materializing it, without holding the whole trace.
-func (c Config) Run(w trace.Workload, fw trace.Framework, b trace.BoundMode, policy string, seed int64, dagLen int) ([]sched.JobResult, error) {
-	tc := c.TraceConfig(w, fw, b, seed)
+// Factory builds the policy factory for one seed: the run's own, or a
+// partition's under sharded execution.
+func (r RunSpec) Factory(seed int64) (spec.Factory, error) {
+	return NewFactory(r.Policy, seed, r.Learner)
+}
+
+// Simulate streams the spec's synthetic trace (DAGLength dagLen when above
+// 1) through one simulator running factory — the one cell runner behind
+// the experiment grids and cmd/grass-sim. mutate, when set, adjusts the
+// simulator configuration (the ablations' model variants). Streaming
+// gives the materialized trace's results without holding it.
+func (r RunSpec) Simulate(factory spec.Factory, dagLen int, mutate func(*sched.Config)) (*sched.RunStats, error) {
+	tc := r.TraceConfig()
 	if dagLen > 1 {
 		tc.DAGLength = dagLen
 	}
@@ -159,19 +188,44 @@ func (c Config) Run(w trace.Workload, fw trace.Framework, b trace.BoundMode, pol
 	if err != nil {
 		return nil, err
 	}
-	factory, oracleMode, err := NewFactory(policy, seed)
+	scfg, err := r.SchedConfig()
 	if err != nil {
 		return nil, err
 	}
-	sim, err := sched.New(c.SchedConfig(fw, seed, oracleMode), factory)
+	if mutate != nil {
+		mutate(&scfg)
+	}
+	sim, err := sched.New(scfg, factory)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := sim.RunSource(stream)
+	return sim.RunSource(stream)
+}
+
+// cell is the run spec of one experiment-grid cell: the config's trace
+// length and cluster, at the bound's offered load.
+func (c Config) cell(w trace.Workload, fw trace.Framework, b trace.BoundMode, seed int64) RunSpec {
+	load := c.ErrorLoad
+	if b == trace.DeadlineBound {
+		load = c.DeadlineLoad
+	}
+	return RunSpec{
+		Workload: w, Framework: fw, Bound: b,
+		Jobs: c.Jobs, Load: load,
+		Machines: c.Machines, SlotsPerMachine: c.SlotsPerMachine,
+		Seed: seed,
+	}
+}
+
+// Run simulates one (workload, framework, bound, policy, seed) cell and
+// returns its results.
+func (c Config) Run(w trace.Workload, fw trace.Framework, b trace.BoundMode, policy string, seed int64, dagLen int) ([]sched.JobResult, error) {
+	c.Seeds = []int64{seed}
+	rs, err := c.runScenario(w, fw, b, dagLen, []policySpec{named(policy)}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return stats.Results, nil
+	return rs[policy][0], nil
 }
 
 // Improvement runs base and treat policies over the config's seeds on

@@ -10,6 +10,7 @@ package exp
 // memory back to the trace length are visible immediately.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"github.com/approx-analytics/grass/internal/core"
-	"github.com/approx-analytics/grass/internal/fault"
 	"github.com/approx-analytics/grass/internal/sched"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
@@ -27,27 +27,13 @@ import (
 	"github.com/approx-analytics/grass/internal/traceio"
 )
 
-// ReplayConfig parameterizes one streaming replay.
+// ReplayConfig parameterizes one streaming replay of the embedded RunSpec,
+// whose Jobs may run to millions. A zero Machines/SlotsPerMachine means the
+// paper's 200×2 and a zero Load 0.75 (busy but stable queues). With
+// Learner core.LearnerSketch at Partitions > 1 a later epoch's partitions
+// query the combined cluster history.
 type ReplayConfig struct {
-	// Jobs is the trace length — a million-job replay is the intended use.
-	Jobs int
-	// Policy is the speculation policy name (NewFactory's set).
-	Policy string
-	// Workload, Framework, Bound select the synthetic trace. The zero Bound
-	// is trace.DeadlineBound; DefaultReplayConfig picks trace.MixedBound,
-	// the mixed production workload replays are normally run with.
-	// Framework also selects the estimator-noise regime (Config.SchedConfig).
-	Workload  trace.Workload
-	Framework trace.Framework
-	Bound     trace.BoundMode
-	// Machines and SlotsPerMachine size the cluster; 0 means the paper's
-	// 200×2.
-	Machines, SlotsPerMachine int
-	// Load is the offered load; 0 means 0.75 (busy but stable queues, the
-	// regime a replay must sustain for the whole trace).
-	Load float64
-	// Seed drives trace generation and the simulator.
-	Seed int64
+	RunSpec
 	// MemSample sets the heap sampling interval; 0 means 20ms.
 	MemSample time.Duration
 
@@ -77,27 +63,12 @@ type ReplayConfig struct {
 	TraceFormat  traceio.Format
 	TraceOptions *traceio.Options
 
-	// Scenario names a fault-injection preset (fault.Scenarios: "crashy",
-	// "rack-storm", "contended", "overload-mixed"); "" and "none" replay a
-	// benign cluster, byte-identical to a build without fault support.
-	// FaultSeed, when non-zero, pins the fault timeline independently of
-	// Seed, so the same fault schedule can be replayed under different
-	// workload seeds (and vice versa); 0 derives the timeline from Seed.
-	Scenario  string
-	FaultSeed int64
-
-	// Learner selects the GRASS learner implementation by name ("" or
-	// "ring" for the per-partition ring store, "sketch" for the mergeable
-	// sketch store — core.ParseLearnerKind's set). With "sketch" at
-	// Partitions > 1 the per-partition learners fold at the canonical
-	// merge, so a later epoch's partitions query the combined cluster
-	// history. Non-GRASS policies ignore it.
-	Learner string
 	// LearnEpochs replays the trace this many times, carrying merged
 	// learned state from each epoch into the next (0 and 1 mean a single
-	// pass). Epochs > 1 require Learner "sketch" — the ring store is not
-	// mergeable. Reported aggregates are the FINAL epoch's (the warmed-up
-	// regime); Wall and the memory high-water span all epochs.
+	// pass). Epochs > 1 require Learner core.LearnerSketch — the ring
+	// store is not mergeable. Reported aggregates are the FINAL epoch's
+	// (the warmed-up regime); Wall and the memory high-water span all
+	// epochs.
 	LearnEpochs int
 
 	// NewSource, when set, replays fully custom admission sources:
@@ -116,16 +87,18 @@ type ReplayConfig struct {
 // meaningful: a deadline-bound Facebook/Hadoop trace with seed 0).
 func DefaultReplayConfig(n int) ReplayConfig {
 	return ReplayConfig{
-		Jobs:            n,
-		Policy:          "gs",
-		Workload:        trace.Facebook,
-		Framework:       trace.Hadoop,
-		Bound:           trace.MixedBound,
-		Machines:        200,
-		SlotsPerMachine: 2,
-		Load:            0.75,
-		Seed:            1,
-		MemSample:       20 * time.Millisecond,
+		RunSpec: RunSpec{
+			Jobs:            n,
+			Policy:          "gs",
+			Workload:        trace.Facebook,
+			Framework:       trace.Hadoop,
+			Bound:           trace.MixedBound,
+			Machines:        200,
+			SlotsPerMachine: 2,
+			Load:            0.75,
+			Seed:            1,
+		},
+		MemSample: 20 * time.Millisecond,
 	}
 }
 
@@ -277,27 +250,13 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		return nil, fmt.Errorf("exp: %d learn epochs (want >= 1, or 0 for a single pass)", cfg.LearnEpochs)
 	}
 	def := DefaultReplayConfig(cfg.Jobs)
-	if cfg.Policy == "" {
-		cfg.Policy = def.Policy
-	}
-	if cfg.Machines == 0 {
-		cfg.Machines = def.Machines
-	}
-	if cfg.SlotsPerMachine == 0 {
-		cfg.SlotsPerMachine = def.SlotsPerMachine
-	}
-	if cfg.Load == 0 {
-		cfg.Load = def.Load
-	}
-	if cfg.MemSample == 0 {
-		cfg.MemSample = def.MemSample
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Partitions == 0 {
-		cfg.Partitions = cfg.Shards
-	}
+	cfg.Policy = cmp.Or(cfg.Policy, def.Policy)
+	cfg.Machines = cmp.Or(cfg.Machines, def.Machines)
+	cfg.SlotsPerMachine = cmp.Or(cfg.SlotsPerMachine, def.SlotsPerMachine)
+	cfg.Load = cmp.Or(cfg.Load, def.Load)
+	cfg.MemSample = cmp.Or(cfg.MemSample, def.MemSample)
+	cfg.Shards = cmp.Or(cfg.Shards, 1)
+	cfg.Partitions = cmp.Or(cfg.Partitions, cfg.Shards)
 
 	// Resolve the admission source: custom > imported trace file >
 	// synthetic stream. Imported traces are scanned first — a full
@@ -318,55 +277,37 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 		if scan.Jobs == 0 {
 			return nil, fmt.Errorf("exp: %s contains no jobs (empty or comment-only trace)", cfg.TraceFile)
 		}
-		if scan.Jobs < cfg.Partitions {
-			return nil, fmt.Errorf("exp: %s has %d jobs, fewer than %d partitions (every partition needs at least one job)",
-				cfg.TraceFile, scan.Jobs, cfg.Partitions)
-		}
 		cfg.Jobs = scan.Jobs
 		imported = &importedSources{file: cfg.TraceFile, format: cfg.TraceFormat, opts: opts}
 		newSource = imported.open
 	}
-
-	tc := trace.DefaultConfig(cfg.Workload, cfg.Framework, cfg.Bound)
-	tc.Jobs = cfg.Jobs
-	tc.Seed = cfg.Seed
-	tc.Slots = cfg.Machines * cfg.SlotsPerMachine
-	tc.Load = cfg.Load
-
-	learner, err := core.ParseLearnerKind(cfg.Learner)
-	if err != nil {
-		return nil, err
+	if cfg.Jobs < cfg.Partitions {
+		return nil, fmt.Errorf("exp: %d jobs are fewer than %d partitions (every partition needs at least one job)", cfg.Jobs, cfg.Partitions)
 	}
+
 	epochs := cfg.LearnEpochs
 	if epochs <= 0 {
 		epochs = 1
 	}
-	if epochs > 1 && learner != core.LearnerSketch {
+	if epochs > 1 && cfg.Learner != core.LearnerSketch {
 		return nil, fmt.Errorf("exp: %d learn epochs need the mergeable sketch learner (set Learner to \"sketch\"; the ring store cannot carry state across epochs)", epochs)
 	}
-	_, oracleMode, err := NewFactoryLearner(cfg.Policy, cfg.Seed, learner)
+	if _, err := cfg.Factory(cfg.Seed); err != nil {
+		return nil, err
+	}
+	scfg, err := cfg.SchedConfig()
 	if err != nil {
 		return nil, err
 	}
-	fc, err := fault.Scenario(cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.FaultSeed != 0 {
-		fc.Seed = cfg.FaultSeed
-	}
-	scfg := Config{Machines: cfg.Machines, SlotsPerMachine: cfg.SlotsPerMachine}.
-		SchedConfig(cfg.Framework, cfg.Seed, oracleMode)
-	scfg.Faults = fc
 	// The default event ceiling guards tests; a million-job replay
 	// legitimately fires hundreds of millions of events.
 	scfg.MaxEvents = uint64(cfg.Jobs)*2000 + 1_000_000
 
 	rs := &ReplayStats{
 		Jobs: cfg.Jobs, Partitions: cfg.Partitions, Shards: cfg.Shards,
-		Learner: learner.String(), LearnEpochs: epochs,
+		Learner: cfg.Learner.String(), LearnEpochs: epochs,
 	}
-	if fc.Enabled() {
+	if scfg.Faults.Enabled() {
 		rs.Scenario = cfg.Scenario
 	}
 	var accSum, durSum float64
@@ -389,18 +330,16 @@ func Replay(cfg ReplayConfig) (*ReplayStats, error) {
 	// an unsharded replay is exactly the pre-sharding pipeline.
 	walls := make([]time.Duration, cfg.Partitions)
 	if newSource == nil {
+		tc := cfg.TraceConfig()
 		newSource = func(p, parts int) (sched.Source, error) {
 			return trace.NewShardStream(tc, p, parts)
 		}
 	}
 	run := sched.ShardedRun{
-		Config:  scfg,
-		Parts:   cfg.Partitions,
-		Workers: cfg.Shards,
-		NewFactory: func(seed int64) (spec.Factory, error) {
-			f, _, err := NewFactoryLearner(cfg.Policy, seed, learner)
-			return f, err
-		},
+		Config:     scfg,
+		Parts:      cfg.Partitions,
+		Workers:    cfg.Shards,
+		NewFactory: cfg.Factory,
 		NewSource: func(p int) (sched.Source, error) {
 			return newSource(p, cfg.Partitions)
 		},

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/trace"
 )
 
@@ -80,13 +81,23 @@ func TestReplayDeterministic(t *testing.T) {
 }
 
 func TestReplayRejectsBadConfig(t *testing.T) {
-	if _, err := Replay(ReplayConfig{Jobs: 0}); err == nil {
-		t.Fatal("zero-job replay accepted")
-	}
-	rc := DefaultReplayConfig(10)
-	rc.Policy = "bogus"
-	if _, err := Replay(rc); err == nil {
-		t.Fatal("bogus policy accepted")
+	bogusPolicy := DefaultReplayConfig(10)
+	bogusPolicy.Policy = "bogus"
+	for name, rc := range map[string]ReplayConfig{
+		"zero jobs":    {},
+		"bogus policy": bogusPolicy,
+		// Partitions derived from Shards obey the same jobs-vs-partitions
+		// rule as explicit ones.
+		"2 jobs on 4 shards":     {RunSpec: RunSpec{Jobs: 2}, Shards: 4},
+		"3 jobs, 4 partitions":   {RunSpec: RunSpec{Jobs: 3}, Partitions: 4},
+		"bogus fault scenario":   {RunSpec: RunSpec{Jobs: 10, Scenario: "bogus"}},
+		"unknown learner kind":   {RunSpec: RunSpec{Jobs: 10, Learner: core.LearnerKind(9)}},
+		"negative shard count":   {RunSpec: RunSpec{Jobs: 10}, Shards: -1},
+		"negative partition cnt": {RunSpec: RunSpec{Jobs: 10}, Partitions: -1},
+	} {
+		if _, err := Replay(rc); err == nil {
+			t.Errorf("%s: replay accepted", name)
+		}
 	}
 }
 
@@ -203,7 +214,7 @@ func TestReplayLearnEpochs(t *testing.T) {
 	run := func(shards int) *ReplayStats {
 		rc := replayTestConfig(150)
 		rc.Policy = "grass"
-		rc.Learner = "sketch"
+		rc.Learner = core.LearnerSketch
 		rc.LearnEpochs = 2
 		rc.Partitions = 2
 		rc.Shards = shards
@@ -242,9 +253,9 @@ func TestReplayLearnEpochsValidation(t *testing.T) {
 		t.Fatal("ring-learner multi-epoch replay accepted")
 	}
 	rc = DefaultReplayConfig(10)
-	rc.Learner = "bogus"
+	rc.Learner = core.LearnerKind(9)
 	if _, err := Replay(rc); err == nil {
-		t.Fatal("unknown learner name accepted")
+		t.Fatal("unknown learner kind accepted")
 	}
 	rc = DefaultReplayConfig(10)
 	rc.LearnEpochs = -1
@@ -256,7 +267,7 @@ func TestReplayLearnEpochsValidation(t *testing.T) {
 	// running independent passes.
 	rc = DefaultReplayConfig(30)
 	rc.Policy = "gs"
-	rc.Learner = "sketch"
+	rc.Learner = core.LearnerSketch
 	rc.LearnEpochs = 2
 	if _, err := Replay(rc); err == nil {
 		t.Fatal("multi-epoch replay of a non-learning policy accepted")

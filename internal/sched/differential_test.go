@@ -34,31 +34,31 @@ func (w pickOnly) Pick(ctx spec.Ctx, tasks []spec.TaskView) (spec.Decision, bool
 // pickOnlyFactory wraps a factory so every policy it builds is a pickOnly.
 type pickOnlyFactory struct{ f spec.Factory }
 
-func (r pickOnlyFactory) Name() string { return r.f.Name() }
+func (r pickOnlyFactory) Name() string      { return r.f.Name() }
+func (r pickOnlyFactory) GroundTruth() bool { return spec.GroundTruth(r.f) }
 func (r pickOnlyFactory) NewPolicy(jobID, numTasks int) spec.Policy {
 	return pickOnly{r.f.NewPolicy(jobID, numTasks)}
 }
 
-// diffPolicies enumerates the seven policy families the harness covers.
-// oracle selects ground-truth views (Config.Oracle).
+// diffPolicies enumerates the seven policy families the harness covers;
+// the oracle's factory runs on ground-truth views.
 var diffPolicies = []struct {
 	name    string
-	oracle  bool
 	factory func(t testing.TB) spec.Factory
 }{
-	{"gs", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewGS()) }},
-	{"ras", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewRAS()) }},
-	{"late", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewLATE()) }},
-	{"mantri", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NewMantri()) }},
-	{"nospec", false, func(testing.TB) spec.Factory { return spec.Stateless(spec.NoSpec{}) }},
-	{"grass", false, func(t testing.TB) spec.Factory {
+	{"gs", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewGS()) }},
+	{"ras", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewRAS()) }},
+	{"late", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewLATE()) }},
+	{"mantri", func(testing.TB) spec.Factory { return spec.Stateless(spec.NewMantri()) }},
+	{"nospec", func(testing.TB) spec.Factory { return spec.Stateless(spec.NoSpec{}) }},
+	{"grass", func(t testing.TB) spec.Factory {
 		f, err := core.New(core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}},
-	{"oracle", true, func(testing.TB) spec.Factory { return oracle.New() }},
+	{"oracle", func(testing.TB) spec.Factory { return oracle.New() }},
 }
 
 // dagJob builds a job whose input tasks have per-index work variation and
@@ -162,7 +162,6 @@ func TestDifferentialViews(t *testing.T) {
 	for _, p := range diffPolicies {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := smallConfig(7)
-			cfg.Oracle = p.oracle
 			s, err := New(cfg, p.factory(t))
 			if err != nil {
 				t.Fatal(err)
@@ -189,7 +188,6 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	for _, p := range diffPolicies {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := smallConfig(11)
-			cfg.Oracle = p.oracle
 			run := func(f spec.Factory) *RunStats {
 				s, err := New(cfg, f)
 				if err != nil {

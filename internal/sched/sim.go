@@ -204,7 +204,12 @@ func demandLess(a, b *jobState) bool {
 
 // Simulator executes one trace under one speculation policy family.
 type Simulator struct {
-	cfg     Config
+	cfg Config
+	// oracle feeds policies ground-truth TaskViews and bypasses the
+	// estimator, when the factory asks for it (spec.GroundTruthFactory).
+	// It sits where Config's end leaves padding, so the fields below keep
+	// their offsets.
+	oracle  bool
 	factory spec.Factory
 
 	eng *simevent.Engine
@@ -415,6 +420,7 @@ func New(cfg Config, factory spec.Factory) (*Simulator, error) {
 	s := &Simulator{
 		cfg:      cfg,
 		factory:  factory,
+		oracle:   spec.GroundTruth(factory),
 		eng:      simevent.New(),
 		rngPlace: root.Split(),
 		rngDur:   root.Split(),
@@ -900,7 +906,7 @@ func (s *Simulator) launch(js *jobState, ti int, speculative bool, estTNew float
 	c.duration = tb.work[ti] * factor * m.Slowdown
 	c.speculative = speculative
 	c.tremBias = 1
-	if !s.cfg.Oracle {
+	if !s.oracle {
 		c.estTNew = estTNew
 		c.tremBias = s.est.SampleTRemBias()
 	}
@@ -942,7 +948,7 @@ func (s *Simulator) buildCtx(js *jobState) spec.Ctx {
 		Utilization:       s.cl.Utilization(),
 		Now:               now,
 	}
-	if s.cfg.Oracle {
+	if s.oracle {
 		ctx.EstimationAccuracy = 1
 	} else {
 		ctx.EstimationAccuracy = s.est.Accuracy()
@@ -1018,7 +1024,7 @@ func (s *Simulator) onCopyComplete(js *jobState, ti int, c *copyRun) {
 
 // scoreCopy settles the copy's recorded estimates against ground truth.
 func (s *Simulator) scoreCopy(c *copyRun, now float64) {
-	if s.cfg.Oracle {
+	if s.oracle {
 		return
 	}
 	if c.estTNew > 0 {
@@ -1143,7 +1149,7 @@ func (s *Simulator) finishJob(js *jobState) {
 			EstimationAccuracy: s.est.Accuracy(),
 			Now:                now,
 		}
-		if s.cfg.Oracle {
+		if s.oracle {
 			ctx.EstimationAccuracy = 1
 		}
 		ob.OnJobEnd(ctx, js.res.Accuracy, js.res.InputDuration)

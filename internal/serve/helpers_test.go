@@ -3,6 +3,7 @@ package serve
 import (
 	"sync/atomic"
 
+	"github.com/approx-analytics/grass/internal/core"
 	"github.com/approx-analytics/grass/internal/exp"
 	"github.com/approx-analytics/grass/internal/spec"
 	"github.com/approx-analytics/grass/internal/task"
@@ -10,10 +11,9 @@ import (
 )
 
 // testNewFactory resolves a policy name the way the public Serve wrapper
-// does, dropping the oracle flag (no oracle policies in these tests).
+// does.
 func testNewFactory(policy string, seed int64) (spec.Factory, error) {
-	f, _, err := exp.NewFactory(policy, seed)
-	return f, err
+	return exp.NewFactory(policy, seed, core.LearnerRing)
 }
 
 // countingStream wraps trace.Stream to count how many jobs the server

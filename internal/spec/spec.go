@@ -196,6 +196,21 @@ type Factory interface {
 	NewPolicy(jobID, numTasks int) Policy
 }
 
+// GroundTruthFactory is the optional interface of a Factory whose policies
+// read ground-truth TaskViews (exact remaining times, the exact duration of
+// the next copy) instead of estimator output: the §2.3 oracle. A wrapping
+// factory forwards GroundTruth to keep the mode of the one it wraps.
+type GroundTruthFactory interface {
+	Factory
+	GroundTruth() bool
+}
+
+// GroundTruth reports whether f's policies need ground-truth views.
+func GroundTruth(f Factory) bool {
+	g, ok := f.(GroundTruthFactory)
+	return ok && g.GroundTruth()
+}
+
 // statelessFactory reuses one Policy for every job.
 type statelessFactory struct{ p Policy }
 

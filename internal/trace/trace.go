@@ -47,16 +47,21 @@ func (w Workload) String() string {
 	}
 }
 
-// ParseWorkload resolves a workload name ("facebook"/"fb", "bing").
-func ParseWorkload(s string) (Workload, error) {
-	switch strings.ToLower(s) {
+// MarshalText returns the workload's flag spelling ("facebook", "bing").
+func (w Workload) MarshalText() ([]byte, error) { return []byte(strings.ToLower(w.String())), nil }
+
+// UnmarshalText resolves a workload name ("facebook"/"fb", "bing"), so a
+// Workload binds straight to a flag (flag.TextVar).
+func (w *Workload) UnmarshalText(b []byte) error {
+	switch strings.ToLower(string(b)) {
 	case "facebook", "fb":
-		return Facebook, nil
+		*w = Facebook
 	case "bing":
-		return Bing, nil
+		*w = Bing
 	default:
-		return 0, fmt.Errorf("trace: unknown workload %q", s)
+		return fmt.Errorf("trace: unknown workload %q", b)
 	}
+	return nil
 }
 
 // Framework selects the execution-engine regime.
@@ -82,16 +87,20 @@ func (f Framework) String() string {
 	}
 }
 
-// ParseFramework resolves a framework name ("hadoop", "spark").
-func ParseFramework(s string) (Framework, error) {
-	switch strings.ToLower(s) {
+// MarshalText returns the framework's flag spelling ("hadoop", "spark").
+func (f Framework) MarshalText() ([]byte, error) { return []byte(strings.ToLower(f.String())), nil }
+
+// UnmarshalText resolves a framework name ("hadoop", "spark").
+func (f *Framework) UnmarshalText(b []byte) error {
+	switch strings.ToLower(string(b)) {
 	case "hadoop":
-		return Hadoop, nil
+		*f = Hadoop
 	case "spark":
-		return Spark, nil
+		*f = Spark
 	default:
-		return 0, fmt.Errorf("trace: unknown framework %q", s)
+		return fmt.Errorf("trace: unknown framework %q", b)
 	}
+	return nil
 }
 
 // BoundMode selects how jobs are bounded.
@@ -112,21 +121,25 @@ const (
 	MixedBound
 )
 
-// ParseBound resolves a bound-mode name — the inverse of String, shared by
-// every command-line frontend so a new mode is added in one place.
-func ParseBound(s string) (BoundMode, error) {
-	switch strings.ToLower(s) {
+// MarshalText returns the bound-mode name String returns.
+func (b BoundMode) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
+// UnmarshalText resolves a bound-mode name — the inverse of String, shared
+// by every command-line frontend so a new mode is added in one place.
+func (b *BoundMode) UnmarshalText(text []byte) error {
+	switch strings.ToLower(string(text)) {
 	case "deadline":
-		return DeadlineBound, nil
+		*b = DeadlineBound
 	case "error":
-		return ErrorBound, nil
+		*b = ErrorBound
 	case "exact":
-		return ExactBound, nil
+		*b = ExactBound
 	case "mixed":
-		return MixedBound, nil
+		*b = MixedBound
 	default:
-		return 0, fmt.Errorf("trace: unknown bound mode %q", s)
+		return fmt.Errorf("trace: unknown bound mode %q", text)
 	}
+	return nil
 }
 
 // String returns the bound-mode name.

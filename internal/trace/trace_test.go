@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/approx-analytics/grass/internal/task"
@@ -176,6 +177,50 @@ func TestWorkloadFrameworkStrings(t *testing.T) {
 	}
 	if Workload(9).String() == "" || Framework(9).String() == "" {
 		t.Fatal("unknown values should render")
+	}
+}
+
+// TestTextRoundTrip: the text forms are the flag parsers — every value's
+// MarshalText resolves back to it, the documented aliases and any casing
+// are accepted, and an unknown name is an error that names it.
+func TestTextRoundTrip(t *testing.T) {
+	type text interface {
+		MarshalText() ([]byte, error)
+	}
+	type unmarshal interface {
+		UnmarshalText([]byte) error
+	}
+	check := func(v text, fresh func() unmarshal, want string) {
+		t.Helper()
+		b, _ := v.MarshalText()
+		if string(b) != want {
+			t.Errorf("%v.MarshalText() = %q, want %q", v, b, want)
+		}
+		u := fresh()
+		if err := u.UnmarshalText([]byte(strings.ToUpper(want))); err != nil {
+			t.Errorf("UnmarshalText(%q): %v", want, err)
+		}
+		if err := fresh().UnmarshalText([]byte("nope")); err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("%T accepted an unknown name (err %v)", u, err)
+		}
+	}
+	for _, w := range []Workload{Facebook, Bing} {
+		check(w, func() unmarshal { return new(Workload) }, strings.ToLower(w.String()))
+	}
+	for _, f := range []Framework{Hadoop, Spark} {
+		check(f, func() unmarshal { return new(Framework) }, strings.ToLower(f.String()))
+	}
+	for _, b := range []BoundMode{DeadlineBound, ErrorBound, ExactBound, MixedBound} {
+		var got BoundMode
+		s, _ := b.MarshalText()
+		if err := got.UnmarshalText(s); err != nil || got != b {
+			t.Errorf("bound %v round-tripped to %v, %v", b, got, err)
+		}
+		check(b, func() unmarshal { return new(BoundMode) }, b.String())
+	}
+	var w Workload
+	if err := w.UnmarshalText([]byte("fb")); err != nil || w != Facebook {
+		t.Errorf("alias fb = %v, %v", w, err)
 	}
 }
 

@@ -266,17 +266,25 @@ func TestWriteJobsJSON(t *testing.T) {
 	}
 }
 
+// TestParseFormat: Format's text form is the flag parser — every accepted
+// spelling resolves, unknown names are rejected by name, and MarshalText
+// round-trips.
 func TestParseFormat(t *testing.T) {
 	for in, want := range map[string]Format{"swim": SWIM, "FB": SWIM, "facebook": SWIM, "google": GoogleTaskEvents, "google-task-events": GoogleTaskEvents} {
-		f, err := ParseFormat(in)
-		if err != nil || f != want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v", in, f, err, want)
+		var f Format
+		if err := f.UnmarshalText([]byte(in)); err != nil || f != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", in, f, err, want)
 		}
 	}
-	if _, err := ParseFormat("borg"); err == nil || !strings.Contains(err.Error(), "borg") {
-		t.Errorf("ParseFormat(borg) error %v should name the bad input", err)
+	var f Format
+	if err := f.UnmarshalText([]byte("borg")); err == nil || !strings.Contains(err.Error(), "borg") {
+		t.Errorf("UnmarshalText(borg) error %v should name the bad input", err)
 	}
-	if SWIM.String() != "swim" || GoogleTaskEvents.String() != "google" {
-		t.Error("Format.String does not round-trip ParseFormat names")
+	for _, f := range []Format{SWIM, GoogleTaskEvents} {
+		b, _ := f.MarshalText()
+		var back Format
+		if err := back.UnmarshalText(b); err != nil || back != f || string(b) != f.String() {
+			t.Errorf("%v does not round-trip its text form %q", f, b)
+		}
 	}
 }

@@ -60,7 +60,7 @@ const (
 	GoogleTaskEvents
 )
 
-// String returns the format name ParseFormat accepts.
+// String returns the format name UnmarshalText accepts.
 func (f Format) String() string {
 	switch f {
 	case SWIM:
@@ -72,16 +72,21 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat resolves a format name ("swim", "google").
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
+// MarshalText returns the format name String returns.
+func (f Format) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText resolves a format name ("swim", "google"), so a Format
+// binds straight to a flag (flag.TextVar).
+func (f *Format) UnmarshalText(b []byte) error {
+	switch strings.ToLower(string(b)) {
 	case "swim", "fb", "facebook":
-		return SWIM, nil
+		*f = SWIM
 	case "google", "google-task-events":
-		return GoogleTaskEvents, nil
+		*f = GoogleTaskEvents
 	default:
-		return 0, fmt.Errorf("traceio: unknown trace format %q (want swim | google)", s)
+		return fmt.Errorf("traceio: unknown trace format %q (want swim | google)", b)
 	}
+	return nil
 }
 
 // Position locates a record (or a field of one) in its source file. Lines
